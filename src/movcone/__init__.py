@@ -27,10 +27,11 @@ from .cones import (
     in_open_movable,
     movable_cone,
     reduce_to_domain,
+    sigma_problems,
     slope_coordinate,
     validate_model,
 )
-from .exact import QuadNum, RadicandMismatch, quad_floor, squarefree_decompose
+from .exact import QuadNum, RadicandMismatch, squarefree_decompose
 from .growth import (
     FitReport,
     RounddownReport,

@@ -269,12 +269,15 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
 
 
 def _prepare_dynamics(mf: models.ModelFile):
-    model = mf.to_cymodel()
-    issues = validate_model(model)
-    if issues:
-        _fail(EXIT_VALIDATION, "; ".join(issues))
-    s = eigen_sigma(model)
-    pi = fundamental_domain(model, model.nef1 + model.nef2)
+    try:
+        model = mf.to_cymodel()
+        issues = validate_model(model)
+        if issues:
+            raise ValueError("; ".join(issues))
+        s = eigen_sigma(model)
+        pi = fundamental_domain(model, model.nef1 + model.nef2)
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     return model, s, pi
 
 

@@ -76,16 +76,6 @@ def det2(u: DivisorClass, v: DivisorClass) -> QuadNum:
     return u.p * v.q - u.q * v.p
 
 
-def same_ray(u: DivisorClass, v: DivisorClass) -> bool:
-    """True if u and v span the same ray (positive proportionality)."""
-    if u.is_zero() or v.is_zero():
-        return False
-    if det2(u, v):
-        return False
-    c = u.p / v.p if v.p else u.q / v.q
-    return c.compare(0) > 0
-
-
 @dataclass(frozen=True)
 class TriForm:
     """Symmetric trilinear intersection form via its values on H1, H2."""
@@ -240,6 +230,10 @@ class CYModel:
     def nef_cone(self) -> Cone2:
         return Cone2(self.nef1, self.nef2)
 
+    def chi(self, p: int, q: int) -> Fraction:
+        """Riemann-Roch chi(p*H1 + q*H2) = D^3/6 + c2.D/12, exactly."""
+        return Fraction(2 * self.triform.cube(p, q) + self.c2form.pair(p, q), 12)
+
 
 @dataclass(frozen=True)
 class SigmaData:
@@ -256,14 +250,6 @@ class SigmaData:
     ray1: DivisorClass
     ray2: DivisorClass
     d: int
-
-
-def _chi_fraction(model: CYModel, a: int, b: int) -> Fraction:
-    g1p, g1q = model.nef1.integer_coords()
-    g2p, g2q = model.nef2.integer_coords()
-    p = a * g1p + b * g2p
-    q = a * g1q + b * g2q
-    return Fraction(model.triform.cube(p, q), 6) + Fraction(model.c2form.pair(p, q), 12)
 
 
 def _poly_eval(coeffs, t):
@@ -331,6 +317,20 @@ def _cubic_positive_on_nef(model: CYModel) -> bool:
     return True
 
 
+def sigma_problems(sig: LatticeMap) -> list[str]:
+    """Why sigma cannot act on the movable cone with an expanding eigenray
+    (empty list = it can)."""
+    problems: list[str] = []
+    if sig.det() != 1:
+        problems.append(f"sigma: determinant must be +1, got {sig.det()}")
+    tr = sig.trace()
+    if abs(tr) <= 2:
+        problems.append(f"sigma: |trace| = {abs(tr)} <= 2, the action has finite order")
+    elif tr < 0:
+        problems.append("sigma: trace must be positive, negative eigenvalues do not preserve the cone")
+    return problems
+
+
 def validate_model(model: CYModel) -> list[str]:
     """Check every model invariant; returns a list of violations (empty = ok)."""
     issues: list[str] = []
@@ -358,15 +358,7 @@ def validate_model(model: CYModel) -> list[str]:
     except ValueError as exc:
         issues.append(str(exc))
         return issues
-    if sig.det() != 1:
-        issues.append(f"sigma: determinant must be +1, got {sig.det()}")
-    tr = sig.trace()
-    if abs(tr) <= 2:
-        issues.append(f"sigma: |trace| = {abs(tr)} <= 2, the action has finite order")
-    else:
-        _, d = squarefree_decompose(tr * tr - 4)
-        if d == 1:
-            issues.append("sigma: trace^2 - 4 is a perfect square, eigenrays are rational")
+    issues.extend(sigma_problems(sig))
 
     if gens_ok:
         if not _cubic_positive_on_nef(model):
@@ -375,52 +367,48 @@ def validate_model(model: CYModel) -> list[str]:
             p, q = g.integer_coords()
             if model.c2form.pair(p, q) < 0:
                 issues.append(f"c2 form: negative against nef generator {label}")
+        (g1p, g1q), (g2p, g2q) = model.nef1.integer_coords(), model.nef2.integer_coords()
         for a in range(4):
             for b in range(4):
-                if _chi_fraction(model, a, b).denominator != 1:
-                    issues.append(
-                        f"chi integrality fails at {a}*nef1 + {b}*nef2 "
-                        f"(chi = {_chi_fraction(model, a, b)})"
-                    )
+                chi = model.chi(a * g1p + b * g2p, a * g1q + b * g2q)
+                if chi.denominator != 1:
+                    issues.append(f"chi integrality fails at {a}*nef1 + {b}*nef2 (chi = {chi})")
     return issues
 
 
 def eigen_sigma(model: CYModel) -> SigmaData:
     """Exact eigenvalue and eigenrays of sigma over Q(sqrt(d)).
 
-    The expanding eigenray keeps the shape with H2-coordinate 1; either ray
-    is sign-flipped if needed so the ample test class nef1 + nef2 has
-    positive coordinates in the eigenbasis (the movable cone is then exactly
-    the non-negative span of the two rays).
+    Each eigenray keeps the shape ((ev - sigma.d) / sigma.c, 1) from the
+    second row of sigma - ev; either ray is sign-flipped if needed so the
+    ample test class nef1 + nef2 has positive coordinates in the eigenbasis
+    (the movable cone is then exactly the non-negative span of the two rays).
     """
     sig = model.sigma
+    problems = sigma_problems(sig)
+    if problems:
+        raise ValueError(problems[0])
     tr = sig.trace()
-    if abs(tr) <= 2:
-        raise ValueError("sigma has finite order (|trace| <= 2); no expanding eigenray")
-    if tr < 0:
-        raise ValueError("sigma must have positive eigenvalues to preserve the cone")
+    # d > 1: tr^2 - 4 = n^2 needs (tr - n)(tr + n) = 4, which forces tr = 2,
+    # so for tr > 2 the eigenvalues and eigenrays are irrational
     k, d = squarefree_decompose(tr * tr - 4)
-    if d == 1:
-        raise ValueError("sigma eigenvalues are rational; model has rational boundary rays")
     lam = QuadNum(Fraction(tr, 2), Fraction(k, 2), d)
     lam_inv = lam.conjugate()
-    if lam * lam_inv != QuadNum(1):
-        raise ValueError("sigma determinant is not +1")
-
-    def ray_for(ev: QuadNum) -> DivisorClass:
-        # row-1 relation (a - ev) p + b q = 0; b != 0 because ev is irrational
-        raw = DivisorClass(QuadNum(sig.b), ev - sig.a)
-        return DivisorClass(raw.p / raw.q, QuadNum(1))
-
-    r1, r2 = ray_for(lam), ray_for(lam_inv)
+    # (ev - sigma.d) / sigma.c with ev = (tr +- k*sqrt(d)) / 2; c != 0, as
+    # c == 0 and det == 1 would force trace +-2
+    p0 = Fraction(tr - 2 * sig.d, 2 * sig.c)
+    r1 = DivisorClass(QuadNum(p0, Fraction(k, 2 * sig.c), d), QuadNum(1))
+    r2 = DivisorClass(QuadNum(p0, Fraction(-k, 2 * sig.c), d), QuadNum(1))
     test = model.nef1 + model.nef2
-    basis = Cone2(r1, r2)
-    a1, a2 = cone_coords(basis, test)
-    if not a1 or not a2:
+    # coordinates of test in the (r1, r2) basis have the signs of
+    # det2(test, r2) / det2(r1, r2) and det2(r1, test) / det2(r1, r2)
+    orient = det2(r1, r2).compare(0)
+    s1, s2 = det2(test, r2).compare(0), det2(r1, test).compare(0)
+    if not s1 or not s2:
         raise ValueError("ample test class lies on an eigenray; model degenerate")
-    if a1.compare(0) < 0:
+    if s1 != orient:
         r1 = -r1
-    if a2.compare(0) < 0:
+    if s2 != orient:
         r2 = -r2
     data = SigmaData(sig, lam, lam_inv, r1, r2, d)
     for ray, ev in ((r1, lam), (r2, lam_inv)):
@@ -458,7 +446,8 @@ def in_open_movable(D: DivisorClass, s: SigmaData) -> bool:
     return a1.compare(0) > 0 and a2.compare(0) > 0
 
 
-def _primitive(D: DivisorClass) -> DivisorClass:
+def primitive(D: DivisorClass) -> DivisorClass:
+    """The primitive integral class on the ray of the integral class D."""
     p, q = D.integer_coords()
     g = gcd(abs(p), abs(q))
     if g > 1:
@@ -490,20 +479,20 @@ def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
     if not model.has_involutions:
         for x0 in (model.nef1, model.nef2):
             for mat in (sig, sig.inverse()):
-                cand = Cone2(_primitive(x0), _primitive(mat.apply(x0)))
+                cand = Cone2(primitive(x0), primitive(mat.apply(x0)))
                 if cone_contains(cand, model.nef1) and cone_contains(cand, model.nef2):
                     return _order_by_slope(cand, s)
         raise ValueError("sigma does not move the nef cone off itself; model invalid")
 
     z1 = x + model.tau1.apply(x)
     z2 = z1 + sig.apply(z1)
-    base = (_primitive(z1), _primitive(z2))
-    mirror = (_primitive(model.tau2.apply(base[0])), _primitive(model.tau2.apply(base[1])))
+    base = (primitive(z1), primitive(z2))
+    mirror = (primitive(model.tau2.apply(base[0])), primitive(model.tau2.apply(base[1])))
     for k in range(_MAX_DOMAIN_SHIFT + 1):
         for n in ((0,) if k == 0 else (k, -k)):
             power = sig.pow(n)
             for rays in (base, mirror):
-                cand = Cone2(_primitive(power.apply(rays[0])), _primitive(power.apply(rays[1])))
+                cand = Cone2(primitive(power.apply(rays[0])), primitive(power.apply(rays[1])))
                 if cone_contains(cand, model.nef1) and cone_contains(cand, model.nef2):
                     return _order_by_slope(cand, s)
     raise ValueError("fundamental domain alignment with the nef cone did not terminate")

@@ -266,25 +266,19 @@ class QuadNum:
     def floor(self) -> int:
         """Greatest integer <= self, decided exactly.
 
-        An integer square root brackets b*sqrt(d) to within 1/denominator(b);
-        the candidate is then pinned down by exact comparisons.
+        With self = (P + Q*sqrt(d)) / R and R > 0, floor(self) equals
+        (P + floor(Q*sqrt(d))) // R; floor(Q*sqrt(d)) is isqrt(Q**2 * d)
+        for Q > 0 and -isqrt(Q**2 * d) - 1 for Q < 0, as Q**2 * d is no
+        perfect square.
         """
         a, b = self._a, self._b
         if not b:
             return a.numerator // a.denominator
-        num = b.numerator * b.numerator * self._d
-        den = abs(b.denominator)
-        s = math.isqrt(num)
-        if b > 0:
-            lo = a + Fraction(s, den)
-        else:
-            lo = a - Fraction(s + 1, den)
-        n = lo.numerator // lo.denominator
-        while self.compare(n + 1) >= 0:
-            n += 1
-        while self.compare(n) < 0:
-            n -= 1
-        return n
+        r = math.lcm(a.denominator, b.denominator)
+        p = a.numerator * (r // a.denominator)
+        q = b.numerator * (r // b.denominator)
+        s = math.isqrt(q * q * self._d)
+        return (p + (s if q > 0 else -s - 1)) // r
 
     # -- rendering -----------------------------------------------------------
 
@@ -303,6 +297,3 @@ class QuadNum:
     def __float__(self):
         return float(self._a) + float(self._b) * math.sqrt(self._d)
 
-
-def quad_floor(x: QuadNum) -> int:
-    return x.floor()

@@ -6,10 +6,8 @@ double precision."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import mpmath
+from fractions import Fraction
 
 from .cones import (
     Cone2,
@@ -97,8 +95,9 @@ def _resolve_direction(s: SigmaData, ray) -> DivisorClass:
     raise ValueError(f"ray must be 'r1', 'r2' or a divisor class, got {ray!r}")
 
 
-def _one_record(args) -> SweepRecord:
-    model, s, pi, ample, direction, m = args
+def _one_record(
+    model: CYModel, s: SigmaData, pi: Cone2, ample: DivisorClass, direction: DivisorClass, m: int
+) -> SweepRecord:
     floored = floor_class(m, direction, ample)
     real = DivisorClass(direction.p * m + ample.p, direction.q * m + ample.q)
     l1 = area_coordinate(real, s)
@@ -115,7 +114,6 @@ def sweep(
     ample: DivisorClass,
     ms,
     ray="r1",
-    workers: int = 1,
 ) -> list[SweepRecord]:
     """One record per m along the chosen direction; skipped rows are kept."""
     _check_ample(model, ample)
@@ -123,11 +121,7 @@ def sweep(
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("m values must be strictly increasing")
     direction = _resolve_direction(s, ray)
-    tasks = [(model, s, pi, ample, direction, m) for m in ms]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_one_record, tasks))
-    return [_one_record(t) for t in tasks]
+    return [_one_record(model, s, pi, ample, direction, m) for m in ms]
 
 
 def estimate_exponent(records) -> FitReport:
@@ -183,12 +177,35 @@ def rounddown_check(model: CYModel, s: SigmaData, samples) -> RounddownReport:
 
 
 def render_l1(x: QuadNum, digits: int = 30) -> str:
-    """Decimal rendering at the given number of significant digits."""
-    with mpmath.workdps(digits + 10):
-        v = mpmath.mpf(x.a.numerator) / x.a.denominator
-        if x.b:
-            v += (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d)
-        return mpmath.nstr(v, digits)
+    """Decimal rendering at the given number of significant digits.
+
+    The exact value is rounded half up at the last digit and written in
+    fixed point for decimal exponents e with min(-digits // 3, -5) < e <
+    digits, otherwise as "d.ddd" plus "e+N"/"e-N"; trailing zeros are
+    stripped down to "X.0".
+    """
+    if not x:
+        return "0.0"
+    f = x.floor()
+    negative = f < 0
+    if negative:
+        x = -x
+        f = x.floor()
+    # 10**e <= x < 10**(e + 1), except e is one too small at x = 10**-k
+    e = len(str(f)) - 1 if f else -len(str(x.inverse().floor()))
+    m = (x * Fraction(10) ** (digits - e)).floor()
+    if m >= 10 ** (digits + 1):
+        e, m = e + 1, m // 10
+    n = (m + 5) // 10
+    if n == 10**digits:
+        e, n = e + 1, n // 10
+    text = str(n)
+    fixed = min(-(digits // 3), -5) < e < digits
+    if fixed and e < 0:
+        text, e = "0" * -e + text, 0
+    split = e + 1 if fixed else 1
+    text = text[:split] + "." + (text[split:].rstrip("0") or "0")
+    return ("-" if negative else "") + text + ("" if fixed else f"e{e:+d}")
 
 
 def write_csv(records, fp) -> None:

@@ -281,35 +281,41 @@ def hilbert_dim(
     yi = {e: i for i, e in enumerate(ym)}
     ncols = len(xm) * len(ym)
 
-    rows: list[list[tuple[int, int]]] = []
+    rows, cols, coeffs = [], [], []
+    nrows = 0
     for g in ideal.generators:
         ga, gb = g.bidegree
         if ga > a or gb > b:
             continue
         for xq in _monomials(ring.x_count, a - ga):
             for yq in _monomials(ring.y_count, b - gb):
-                row = []
                 for (xe, ye), c in g.terms:
                     xk = tuple(u + v for u, v in zip(xe, xq))
                     yk = tuple(u + v for u, v in zip(ye, yq))
-                    row.append((xi[xk] * len(ym) + yi[yk], c))
-                rows.append(row)
-    if not rows:
+                    rows.append(nrows)
+                    cols.append(xi[xk] * len(ym) + yi[yk])
+                    coeffs.append(c)
+                nrows += 1
+    if not nrows:
         return ncols
 
-    base = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for col, c in row:
-            base[i, col] += c
+    cells = (np.array(rows), np.array(cols))
+
+    def relations_mod(p: int) -> np.ndarray:
+        # coefficients enter int64 only after reduction mod p, so ideal
+        # coefficients of any size are fine
+        base = np.zeros((nrows, ncols), dtype=np.int64)
+        np.add.at(base, cells, [c % p for c in coeffs])
+        return base
 
     for attempt in range(3):
-        rng = random.Random(f"hilbert-rank:{a}:{b}:{len(rows)}:{attempt}")
+        rng = random.Random(f"hilbert-rank:{a}:{b}:{nrows}:{attempt}")
         p1 = _random_prime(rng)
         p2 = _random_prime(rng)
         while p2 == p1:
             p2 = _random_prime(rng)
-        r1 = _rank_mod_p(base, p1)
-        r2 = _rank_mod_p(base, p2)
+        r1 = _rank_mod_p(relations_mod(p1), p1)
+        r2 = _rank_mod_p(relations_mod(p2), p2)
         if r1 == r2:
             return ncols - r1
     raise RankDisagreement(

@@ -96,9 +96,16 @@ class ModelFile:
         return text + "\n"
 
 
-def _int_quad(value, label: str) -> tuple[int, int, int, int]:
-    if not isinstance(value, list) or len(value) != 4 or not all(isinstance(v, int) for v in value):
-        raise ModelParseError(f"{label} must be a list of 4 integers, got {value!r}")
+def _int_list(value, label: str, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, of the given length if one is given.  JSON
+    true/false load as bool, a subclass of int, and are rejected."""
+    if (
+        not isinstance(value, list)
+        or (length is not None and len(value) != length)
+        or not all(type(v) is int for v in value)
+    ):
+        size = "" if length is None else f"{length} "
+        raise ModelParseError(f"{label} must be a list of {size}integers, got {value!r}")
     return tuple(value)
 
 
@@ -123,12 +130,8 @@ def parse_model_text(text: str, path: Path | None = None) -> ModelFile:
     if not isinstance(name, str) or not name:
         raise ModelParseError("name must be a non-empty string")
 
-    tri = doc["triform"]
-    if not isinstance(tri, list) or len(tri) != 4 or not all(isinstance(v, int) for v in tri):
-        raise ModelParseError("triform must be a list of 4 integers")
-    c2 = doc["c2form"]
-    if not isinstance(c2, list) or len(c2) != 2 or not all(isinstance(v, int) for v in c2):
-        raise ModelParseError("c2form must be a list of 2 integers")
+    tri = _int_list(doc["triform"], "triform", 4)
+    c2 = _int_list(doc["c2form"], "c2form", 2)
 
     has_taus = "tau1" in doc or "tau2" in doc
     has_sigma = "sigma" in doc
@@ -139,24 +142,20 @@ def parse_model_text(text: str, path: Path | None = None) -> ModelFile:
     if not has_taus and not has_sigma:
         raise ModelParseError("model must define tau1/tau2 or sigma")
 
-    tau1 = _int_quad(doc["tau1"], "tau1") if has_taus else None
-    tau2 = _int_quad(doc["tau2"], "tau2") if has_taus else None
-    sigma = _int_quad(doc["sigma"], "sigma") if has_sigma else None
+    tau1 = _int_list(doc["tau1"], "tau1", 4) if has_taus else None
+    tau2 = _int_list(doc["tau2"], "tau2", 4) if has_taus else None
+    sigma = _int_list(doc["sigma"], "sigma", 4) if has_sigma else None
 
     ci = None
     if "ci" in doc:
         raw = doc["ci"]
         if not isinstance(raw, dict) or set(raw) != set(_CI_KEYS):
             raise ModelParseError('ci block must have exactly the keys "dims" and "degrees"')
-        dims = raw["dims"]
+        dims = _int_list(raw["dims"], "ci.dims")
         degrees = raw["degrees"]
-        if not isinstance(dims, list) or not all(isinstance(v, int) for v in dims):
-            raise ModelParseError("ci.dims must be a list of integers")
-        if not isinstance(degrees, list) or not all(
-            isinstance(d, list) and len(d) == len(dims) and all(isinstance(v, int) for v in d)
-            for d in degrees
-        ):
+        if not isinstance(degrees, list):
             raise ModelParseError("ci.degrees must be a list of multidegree lists")
+        degrees = [_int_list(d, "ci.degrees entry", len(dims)) for d in degrees]
         ci = {"dims": list(dims), "degrees": [list(d) for d in degrees]}
 
     ideal_files = None
@@ -175,8 +174,8 @@ def parse_model_text(text: str, path: Path | None = None) -> ModelFile:
 
     return ModelFile(
         name=name,
-        triform=tuple(tri),
-        c2form=tuple(c2),
+        triform=tri,
+        c2form=c2,
         tau1=tau1,
         tau2=tau2,
         sigma=sigma,

@@ -4,16 +4,14 @@ fundamental domain."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cones import (
     Cone2,
     CYModel,
     DivisorClass,
     SigmaData,
     cone_contains,
+    primitive,
     reduce_to_domain,
-    same_ray,
 )
 
 
@@ -28,19 +26,12 @@ def chi_nef(model: CYModel, D: DivisorClass) -> int:
     if not cone_contains(model.nef_cone(), D):
         raise ValueError(f"{D} is not nef")
     p, q = D.integer_coords()
-    val = Fraction(model.triform.cube(p, q), 6) + Fraction(model.c2form.pair(p, q), 12)
+    val = model.chi(p, q)
     if val.denominator != 1:
         raise ValueError(
             f"chi({p},{q}) = {val} is not an integer; model intersection data invalid"
         )
     return int(val)
-
-
-def _domain_is_nef(model: CYModel, pi: Cone2) -> bool:
-    nef = model.nef_cone()
-    return (same_ray(pi.ray1, nef.ray1) and same_ray(pi.ray2, nef.ray2)) or (
-        same_ray(pi.ray1, nef.ray2) and same_ray(pi.ray2, nef.ray1)
-    )
 
 
 def h0_movable(
@@ -50,9 +41,11 @@ def h0_movable(
 
     Reduces D into the fundamental domain (a composition of birational
     pullbacks, so the count is preserved) and evaluates chi there.  Only
-    models whose fundamental domain equals the nef cone are supported.
+    models whose fundamental domain equals the nef cone are supported; the
+    rays of a domain from fundamental_domain are primitive, so that is a
+    comparison of integral classes.
     """
-    if not _domain_is_nef(model, pi):
+    if {pi.ray1, pi.ray2} != {primitive(model.nef1), primitive(model.nef2)}:
         raise ChamberCoveringError(
             "chamber covering not implemented: fundamental domain is not the nef cone"
         )

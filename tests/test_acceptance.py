@@ -85,16 +85,22 @@ def _pfaffian_model_expected():
     return tri, c2
 
 
-def test_criterion_2_hilbert_fit_recovers_reference_numbers(ex41_fit):
+def test_criterion_2_hilbert_fit_recovers_reference_numbers(ex41_fit, ex41_ideal):
     tri, c2 = _pfaffian_model_expected()
     got = ex41_fit.triform.as_tuple()
     got_c2 = ex41_fit.c2form.as_tuple()
-    ok = got == tri and got_c2 == c2 and ex41_fit.elapsed < 60
+    # The fit samples only a, b >= 1, where x_i times the Pluecker quadric
+    # already lies in the ideal of the incidence forms; degree (0, 2) is where
+    # the quadric itself shows.  2H2 is nef and big, so h0 = chi there.
+    chi_2h2 = Fraction(8 * tri[3], 6) + Fraction(2 * c2[1], 12)
+    dim_02 = hilbert_dim(ex41_ideal, (0, 2))
+    ok = got == tri and got_c2 == c2 and dim_02 == chi_2h2 and ex41_fit.elapsed < 60
     _report(
         "criterion-2 hilbert fit reproduces the ideal's Schubert numbers",
         ok,
         f"fit gives {got} with c2 {got_c2} in {ex41_fit.elapsed:.1f}s; Schubert "
-        f"numbers of Fl(1,2;4) times H2(2H1+2H2) give {tri} with c2 {c2}",
+        f"numbers of Fl(1,2;4) times H2(2H1+2H2) give {tri} with c2 {c2}; "
+        f"dim of degree (0, 2) is {dim_02}, chi(2H2) = {chi_2h2}",
     )
 
 

@@ -1,8 +1,12 @@
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movcone.cli import main
 from movcone.models import (
@@ -187,3 +191,97 @@ def test_h0_outside_cone(runner):
 def test_class_parse_error(runner):
     result = invoke(runner, "h0", str(bundled_model_path("example41")), "1;1")
     assert result.exit_code == 3
+
+
+def _mutated(tmp_path, name, field, value):
+    doc = json.loads(bundled_model_path(name).read_text())
+    doc[field] = value
+    path = tmp_path / "mutated.model"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "name, field, value, code",
+    [
+        # sigma that validation used to pass but the eigen-analysis or the
+        # fundamental domain rejected
+        ("synthetic-bminus-empty", "sigma", [0, 0, 0, 0], 2),
+        ("synthetic-bminus-empty", "sigma", [-3, 1, -1, 0], 2),
+        ("synthetic-bminus-empty", "sigma", [3, -1, 1, 0], 2),
+        # JSON true/false are not integers
+        ("synthetic-bminus-empty", "sigma", [-1, -2, 4, True], 3),
+        ("example41", "tau1", [True, 6, 0, -1], 3),
+        ("example41", "tau2", [-1, 0, 8, True], 3),
+        ("example41", "triform", [2, 6, 8, False], 3),
+        ("example41", "c2form", [True, 56], 3),
+        ("oguiso", "ci", {"dims": [3, True], "degrees": [[1, 1], [1, 1], [2, 2]]}, 3),
+        ("oguiso", "ci", {"dims": [3, 3], "degrees": [[1, 1], [1, True], [2, 2]]}, 3),
+    ],
+)
+@pytest.mark.parametrize("command", ["h0", "reduce", "sweep"])
+def test_invalid_model_exits_with_one_error_line(runner, tmp_path, name, field, value, code, command):
+    path = _mutated(tmp_path, name, field, value)
+    args = ["--out", str(tmp_path / "s.csv")] if command == "sweep" else ["1,1"]
+    result = runner.invoke(main, [command, str(path), *args])
+    assert result.exit_code == code, result.output
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+
+
+_MUTABLE = {"triform": 4, "c2form": 2, "tau1": 4, "tau2": 4, "sigma": 4}
+_small = st.integers(-4, 4)
+_entries = st.one_of(
+    _small, st.integers(-60, 60), st.booleans(), st.none(), st.just("1"), st.just(1.5)
+)
+
+
+@st.composite
+def _model_texts(draw):
+    """A bundled model with a few fields dropped, replaced or edited in place,
+    or its involutions swapped for a small random sigma."""
+    doc = json.loads(bundled_model_path(draw(st.sampled_from(BUNDLED))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        present = sorted(k for k in _MUTABLE if k in doc)
+        if not present:
+            break
+        key = draw(st.sampled_from(present))
+        size = _MUTABLE[key]
+        action = draw(st.sampled_from(["edit", "small", "list", "drop", "sigma"]))
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "sigma":
+            doc.pop("tau1", None)
+            doc.pop("tau2", None)
+            doc["sigma"] = draw(st.lists(st.integers(-3, 4), min_size=4, max_size=4))
+        elif action == "small":
+            doc[key] = draw(st.lists(_small, min_size=size, max_size=size))
+        elif action == "list":
+            doc[key] = draw(st.lists(_entries, max_size=5))
+        else:
+            vals = list(doc.get(key) or [0] * size)
+            vals[draw(st.integers(0, len(vals) - 1))] = draw(_entries)
+            doc[key] = vals
+    return json.dumps(doc)
+
+
+_classes = st.one_of(
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(lambda t: f"{t[0]},{t[1]}"),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_model_texts(), cls=_classes, command=st.sampled_from(["verify", "h0", "reduce"]))
+def test_cli_contract_on_mutated_models(text, cls, command):
+    """Any model file and class string gives exit 0, 2 or 3 and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.model"
+        path.write_text(text)
+        args = ["--samples", "5"] if command == "verify" else ["--", cls]
+        result = CliRunner().invoke(main, [command, str(path), *args])
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+        result.exception
+    )
+    assert result.exit_code in (0, 2, 3), result.output

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,11 @@ from movcone import (
     in_open_movable,
     movable_cone,
     reduce_to_domain,
+    sigma_problems,
     slope_coordinate,
     validate_model,
 )
-from movcone.cones import SIGMA, SIGMA_INV, TAU2, same_ray
+from movcone.cones import SIGMA, SIGMA_INV, TAU2
 
 D = DivisorClass.from_ints
 
@@ -146,20 +148,47 @@ def test_eigen_sigma_rejects_finite_order():
         eigen_sigma(m)
 
 
+def _sigma_model(sigma):
+    return CYModel("s", TriForm(6, 3, 3, 6), C2Form(12, 12), None, None, sigma_direct=sigma)
+
+
+@pytest.mark.parametrize(
+    "sigma, problem",
+    [
+        (LatticeMap(-1, -2, 4, 7), None),
+        (LatticeMap(-1, -6, 8, 47), None),
+        (LatticeMap(2, 1, 1, 2), "determinant must be +1"),
+        (LatticeMap(-3, 1, -1, 0), "trace must be positive"),
+    ],
+)
+def test_sigma_problems_shared_by_validation_and_eigen(sigma, problem):
+    problems = sigma_problems(sigma)
+    issues = validate_model(_sigma_model(sigma))
+    if problem is None:
+        assert problems == []
+        assert not any(v.startswith("sigma:") for v in issues)
+        eigen_sigma(_sigma_model(sigma))
+        return
+    assert problem in problems[0]
+    assert problems[0] in issues
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        eigen_sigma(_sigma_model(sigma))
+
+
 def test_fundamental_domain_is_nef_cone(ex41, oguiso):
     for dyn in (ex41, oguiso):
         pi = fundamental_domain(dyn.model, D(1, 1))
-        assert same_ray(pi.ray1, D(1, 0))
-        assert same_ray(pi.ray2, D(0, 1))
+        assert pi.ray1 == D(1, 0)
+        assert pi.ray2 == D(0, 1)
 
 
 def test_fundamental_domain_intermediate_classes(ex41):
     m = ex41.model
     x = D(1, 1)
     z1 = x + m.tau1.apply(x)
-    assert same_ray(z1, D(1, 0))  # (8, 0)
+    assert z1 == D(8, 0)
     z2 = z1 + m.sigma.apply(z1)
-    assert same_ray(z2, D(0, 1))  # (0, 64)
+    assert z2 == D(0, 64)
 
 
 def test_fundamental_domain_rejects_non_ample(ex41):
@@ -182,8 +211,8 @@ def test_fundamental_domain_independent_of_ample_choice(ex41, oguiso):
 def test_fundamental_domain_sigma_only(synthetic):
     pi = synthetic.pi
     assert cone_contains(pi, D(1, 0)) and cone_contains(pi, D(0, 1))
-    assert same_ray(pi.ray1, D(1, 0))
-    assert same_ray(pi.ray2, D(-1, 4))
+    assert pi.ray1 == D(1, 0)
+    assert pi.ray2 == D(-1, 4)
 
 
 def test_cone_membership_examples(ex41):

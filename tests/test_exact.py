@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movcone import QuadNum, RadicandMismatch, quad_floor, squarefree_decompose
+from movcone import QuadNum, RadicandMismatch, squarefree_decompose
 
 fractions_st = st.fractions(min_value=-60, max_value=60, max_denominator=16)
 radicands = st.sampled_from([2, 3, 5, 7, 10, 33])
@@ -43,7 +43,7 @@ def test_compare_examples():
 
 def test_floor_examples():
     assert QuadNum(-30, 5, 33).floor() == -2  # 10 * (-6 + sqrt(33)) / 2
-    assert quad_floor(QuadNum(7, 0, 33)) == 7
+    assert QuadNum(7, 0, 33).floor() == 7
     assert QuadNum(23, 4, 33).floor() == 45
 
 
@@ -164,3 +164,22 @@ def test_hash_consistency():
     assert QuadNum(5, 0, 33) == QuadNum(5, 0, 2)
     s = {QuadNum(1, 1, 2), QuadNum(1, 1, 2), QuadNum(1, 1, 3)}
     assert len(s) == 2
+
+
+def test_floor_against_high_precision():
+    """Closed-form floors agree with 250-digit numerics on 5000 random values,
+    half of them with small denominators, where (P + floor(Q*sqrt(d))) often
+    lands on a multiple of R."""
+    rng = random.Random(20261018)
+    with mpmath.workdps(250):
+        for i in range(5000):
+            num, den = (10**30, 10**12) if i % 2 else (60, 6)
+            a = Fraction(rng.randint(-num, num), rng.randint(1, den))
+            b = Fraction(rng.randint(-num, num), rng.randint(1, den))
+            d = rng.choice([2, 3, 5, 7, 33, 1001])
+            x = QuadNum(a, b, d)
+            v = (
+                mpmath.mpf(a.numerator) / a.denominator
+                + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(d)
+            )
+            assert x.floor() == int(mpmath.floor(v)), x

@@ -2,6 +2,7 @@ import io
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from movcone import (
@@ -79,13 +80,6 @@ def test_sweep_validates_inputs(ex41):
         sweep(ex41.model, ex41.sigma, ex41.pi, D(1, 1), [256, 512])  # coords < 2
     with pytest.raises(ValueError):
         sweep(ex41.model, ex41.sigma, ex41.pi, A55, [256, 256])
-
-
-def test_sweep_parallel_matches_serial(ex41):
-    ms = geometric_grid(256, 8192)
-    serial = sweep(ex41.model, ex41.sigma, ex41.pi, A55, ms)
-    parallel = sweep(ex41.model, ex41.sigma, ex41.pi, A55, ms, workers=2)
-    assert serial == parallel
 
 
 def test_sweep_skip_flags_non_movable_records(ex41):
@@ -204,3 +198,27 @@ def test_render_l1_digits():
     val = QuadNum(1, 1, 2)
     text = render_l1(val)
     assert text.startswith("2.4142135623730950488016887242")
+
+
+def _nstr(x: QuadNum, digits: int = 30) -> str:
+    with mpmath.workdps(digits + 10):
+        v = mpmath.mpf(x.a.numerator) / x.a.denominator
+        if x.b:
+            v += (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d)
+        return mpmath.nstr(v, digits)
+
+
+def test_render_l1_matches_nstr():
+    """The exact rendering agrees with mpmath's nstr at 40-digit working
+    precision across fixed and exponent layouts, signs and carries."""
+    rng = random.Random(20261018)
+    values = [QuadNum(0), QuadNum(1), QuadNum(-1), QuadNum(10**29), QuadNum(10**30)]
+    values += [QuadNum(Fraction(1, 10**k)) for k in (4, 9, 10, 11)]
+    values += [QuadNum(10**30 - 1), QuadNum(Fraction(10**31 - 5, 10)), QuadNum(-(10**40) + 1)]
+    for _ in range(3000):
+        scale = Fraction(10) ** rng.randint(-40, 130)
+        a = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) * scale
+        b = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) * scale
+        values.append(QuadNum(a, b if rng.random() < 0.7 else 0, rng.choice([2, 3, 5, 33])))
+    for x in values:
+        assert render_l1(x) == _nstr(x), x

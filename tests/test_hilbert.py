@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from movcone import (
+    BiPoly,
     BiPolyRing,
     FitInconsistency,
     IdealSpec,
@@ -187,3 +188,12 @@ def test_prime_generator():
         assert p > 2**30 and _is_prime(p)
     assert _is_prime(2**31 - 1)
     assert not _is_prime(2**31 - 3)
+
+
+def test_coefficients_beyond_int64(oguiso_ideal):
+    # scaling a generator by a unit of every prime field keeps each rank
+    g = oguiso_ideal.generators[0]
+    scaled = BiPoly(g.ring, tuple((mono, c << 70) for mono, c in g.terms))
+    big = IdealSpec(oguiso_ideal.ring, (scaled,) + oguiso_ideal.generators[1:])
+    for bd in default_sample_grid(3):
+        assert hilbert_dim(big, bd) == hilbert_dim(oguiso_ideal, bd), bd
