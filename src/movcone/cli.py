@@ -337,8 +337,8 @@ def h0(model_file: str, cls: str):
     model, s, pi = _prepare_dynamics(mf)
     D = _parse_class(cls)
     try:
-        count, word = h0_movable(model, s, pi, D)
-        _, reduced = reduce_to_domain(model, s, pi, D)
+        word, reduced = reduce_to_domain(model, s, pi, D)
+        count, _ = h0_movable(model, s, pi, reduced)
     except (ValueError, ChamberCoveringError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     p, q = reduced.integer_coords()

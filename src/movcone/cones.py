@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 from .exact import QuadNum, squarefree_decompose
@@ -67,13 +68,29 @@ class DivisorClass:
     def scale(self, s) -> DivisorClass:
         return DivisorClass(self.p * s, self.q * s)
 
+    def __iter__(self):
+        """Unpacks as (p, q), like an integer pair."""
+        return iter((self.p, self.q))
+
     def __str__(self):
         return f"[{self.p}, {self.q}]"
 
 
-def det2(u: DivisorClass, v: DivisorClass) -> QuadNum:
-    """Exact 2x2 determinant of the coordinate matrix (u, v)."""
-    return u.p * v.q - u.q * v.p
+def det2(u, v):
+    """Exact 2x2 determinant of (u, v), for classes and integer pairs alike."""
+    (up, uq), (vp, vq) = u, v
+    return up * vq - uq * vp
+
+
+def _sign(x) -> int:
+    return x.compare(0) if isinstance(x, QuadNum) else (x > 0) - (x < 0)
+
+
+def coord_signs(r1, r2, D) -> tuple[int, int]:
+    """Signs of the coordinates of D in the basis (r1, r2), decided by three
+    det2 values without dividing; classes and integer pairs alike."""
+    o = _sign(det2(r1, r2))
+    return o * _sign(det2(D, r2)), o * _sign(det2(r1, D))
 
 
 @dataclass(frozen=True)
@@ -143,6 +160,10 @@ class LatticeMap:
     def apply(self, D: DivisorClass) -> DivisorClass:
         return DivisorClass(D.p * self.a + D.q * self.b, D.p * self.c + D.q * self.d)
 
+    def apply_pair(self, u: tuple[int, int]) -> tuple[int, int]:
+        p, q = u
+        return self.a * p + self.b * q, self.c * p + self.d * q
+
     def __matmul__(self, other: LatticeMap) -> LatticeMap:
         return LatticeMap(
             self.a * other.a + self.b * other.c,
@@ -194,8 +215,7 @@ def cone_coords(cone: Cone2, D: DivisorClass) -> tuple[QuadNum, QuadNum]:
 
 def cone_contains(cone: Cone2, D: DivisorClass) -> bool:
     """Exact membership in the closed cone (boundary counts as inside)."""
-    c1, c2 = cone_coords(cone, D)
-    return c1.compare(0) >= 0 and c2.compare(0) >= 0
+    return min(coord_signs(cone.ray1, cone.ray2, D)) >= 0
 
 
 @dataclass(frozen=True)
@@ -399,23 +419,10 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     p0 = Fraction(tr - 2 * sig.d, 2 * sig.c)
     r1 = DivisorClass(QuadNum(p0, Fraction(k, 2 * sig.c), d), QuadNum(1))
     r2 = DivisorClass(QuadNum(p0, Fraction(-k, 2 * sig.c), d), QuadNum(1))
-    test = model.nef1 + model.nef2
-    # coordinates of test in the (r1, r2) basis have the signs of
-    # det2(test, r2) / det2(r1, r2) and det2(r1, test) / det2(r1, r2)
-    orient = det2(r1, r2).compare(0)
-    s1, s2 = det2(test, r2).compare(0), det2(r1, test).compare(0)
+    s1, s2 = coord_signs(r1, r2, model.nef1 + model.nef2)
     if not s1 or not s2:
         raise ValueError("ample test class lies on an eigenray; model degenerate")
-    if s1 != orient:
-        r1 = -r1
-    if s2 != orient:
-        r2 = -r2
-    data = SigmaData(sig, lam, lam_inv, r1, r2, d)
-    for ray, ev in ((r1, lam), (r2, lam_inv)):
-        img = sig.apply(ray)
-        if img.p != ray.p * ev or img.q != ray.q * ev:
-            raise ValueError("eigenray verification failed; inconsistent model data")
-    return data
+    return SigmaData(sig, lam, lam_inv, -r1 if s1 < 0 else r1, -r2 if s2 < 0 else r2, d)
 
 
 def movable_cone(s: SigmaData) -> Cone2:
@@ -442,8 +449,7 @@ def slope_coordinate(D: DivisorClass, s: SigmaData) -> QuadNum:
 
 
 def in_open_movable(D: DivisorClass, s: SigmaData) -> bool:
-    a1, a2 = eigen_coords(D, s)
-    return a1.compare(0) > 0 and a2.compare(0) > 0
+    return coord_signs(s.ray1, s.ray2, D) == (1, 1)
 
 
 def primitive(D: DivisorClass) -> DivisorClass:
@@ -455,10 +461,12 @@ def primitive(D: DivisorClass) -> DivisorClass:
     return DivisorClass.from_ints(p, q)
 
 
-def _order_by_slope(c: Cone2, s: SigmaData) -> Cone2:
-    if slope_coordinate(c.ray1, s).compare(slope_coordinate(c.ray2, s)) > 0:
-        return Cone2(c.ray2, c.ray1)
-    return c
+def _order_by_slope(c: Cone2, sig: LatticeMap) -> Cone2:
+    """The cone with its rays in increasing slope a1/a2.  sigma scales a1/a2 by
+    eigenvalue^2 > 1, so for integral u, w of the open movable cone,
+    sign det2(u, sigma u) * det2(u, w) > 0 says slope(u) < slope(w)."""
+    u, w = c.ray1.integer_coords(), c.ray2.integer_coords()
+    return c if _sign(det2(u, sig.apply_pair(u))) * det2(u, w) > 0 else Cone2(c.ray2, c.ray1)
 
 
 def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
@@ -469,19 +477,19 @@ def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
     contains the nef cone.  Without involutions: the cone on a nef boundary
     class and its image under sigma (or its inverse).
     """
-    nef = model.nef_cone()
-    c1, c2 = cone_coords(nef, x)
-    if not (x.is_integral and c1.compare(0) > 0 and c2.compare(0) > 0):
+    if not (x.is_integral and coord_signs(model.nef1, model.nef2, x) == (1, 1)):
         raise ValueError("x must be an integral class interior to the nef cone (ample)")
-    s = eigen_sigma(model)
     sig = model.sigma
+    problems = sigma_problems(sig)
+    if problems:
+        raise ValueError(problems[0])
 
     if not model.has_involutions:
         for x0 in (model.nef1, model.nef2):
             for mat in (sig, sig.inverse()):
                 cand = Cone2(primitive(x0), primitive(mat.apply(x0)))
                 if cone_contains(cand, model.nef1) and cone_contains(cand, model.nef2):
-                    return _order_by_slope(cand, s)
+                    return _order_by_slope(cand, sig)
         raise ValueError("sigma does not move the nef cone off itself; model invalid")
 
     z1 = x + model.tau1.apply(x)
@@ -494,32 +502,8 @@ def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
             for rays in (base, mirror):
                 cand = Cone2(primitive(power.apply(rays[0])), primitive(power.apply(rays[1])))
                 if cone_contains(cand, model.nef1) and cone_contains(cand, model.nef2):
-                    return _order_by_slope(cand, s)
+                    return _order_by_slope(cand, sig)
     raise ValueError("fundamental domain alignment with the nef cone did not terminate")
-
-
-def _floor_log(u: QuadNum, base: QuadNum) -> int:
-    """Largest n with base**n <= u, for u > 0 and base > 1, fully exact."""
-    one = QuadNum(1)
-    if u.compare(one) >= 0:
-        if u.compare(base) < 0:
-            return 0
-        e = 1
-        while (base ** (2 * e)).compare(u) <= 0:
-            e *= 2
-        lo, hi = e, 2 * e
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (base**mid).compare(u) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    v = one / u
-    m = _floor_log(v, base)
-    if (base ** (-m)).compare(u) == 0:
-        return -m
-    return -m - 1
 
 
 def reduce_to_domain(
@@ -531,40 +515,45 @@ def reduce_to_domain(
     applied left to right to transform D into the reduced class.  Classes
     already in the closed domain take the empty word (first match in pi
     wins); classes in its tau2 mirror cross back with one involution.
-    Otherwise the power of sigma is located by exact doubling/bisection on
-    the slope coordinate, followed by at most one tau2 crossing.
+    Otherwise D steps by sigma or sigma_inv, one letter a step, until its
+    slope lies in [lo, sigma lo) for the lowest ray lo of pi and its mirror,
+    then crosses tau2 at most once.  Every test is an integer det2 sign.
     """
     if not D.is_integral:
         raise ValueError("only integral classes are reduced")
     if not in_open_movable(D, s):
         raise ValueError(f"{D} is not in the open movable cone; reduction undefined")
 
-    lam2 = s.eigenvalue * s.eigenvalue
-    pieces = [pi]
+    sig = model.sigma
+    v, sv = D.integer_coords(), sig.apply_pair(D.integer_coords())
+    o = _sign(det2(v, sv))  # o * det2(u, w) > 0 says slope(u) < slope(w); see _order_by_slope
+    pieces = [(pi.ray1.integer_coords(), pi.ray2.integer_coords())]
     if model.has_involutions:
-        t2 = model.tau2
-        pieces.append(Cone2(t2.apply(pi.ray1), t2.apply(pi.ray2)))
-    slopes = [
-        slope_coordinate(ray, s) for piece in pieces for ray in (piece.ray1, piece.ray2)
-    ]
-    lo, hi = min(slopes), max(slopes)
-    if hi != lam2 * lo:
+        pieces.append(tuple(model.tau2.apply_pair(r) for r in pieces[0]))
+    by_slope = cmp_to_key(lambda u, w: -o * det2(u, w))
+    rays = [r for piece in pieces for r in piece]
+    lo, top = min(rays, key=by_slope), max(rays, key=by_slope)
+    hi = sig.apply_pair(lo)
+    # the stepping ends only if lo lies in D's open cone: in eigen-coordinates det2(u, sigma u)
+    # = c*a1*a2 and det2(u, sigma v) + det2(v, sigma u) = c*(a1*b2 + a2*b1), c of sign o
+    if det2(hi, top) or min(o * det2(lo, hi), o * (det2(lo, sv) + det2(v, hi))) <= 0:
         raise ValueError("domain pieces do not tile a full sigma window")
 
-    if cone_contains(pi, D):
-        return [], D
-    if model.has_involutions and cone_contains(pieces[1], D):
-        reduced = model.tau2.apply(D)
-        if cone_contains(pi, reduced):
-            return [TAU2], reduced
-    n = _floor_log(slope_coordinate(D, s) / lo, lam2)
-    word: list[str] = [SIGMA_INV] * n if n >= 0 else [SIGMA] * (-n)
-    reduced = model.sigma.pow(-n).apply(D) if n else D
-    if cone_contains(pi, reduced):
-        return word, reduced
-    if model.has_involutions and cone_contains(pieces[1], reduced):
-        reduced = model.tau2.apply(reduced)
+    def inside(piece, w) -> bool:
+        return min(coord_signs(*piece, w)) >= 0
+
+    word: list[str] = []
+    if not any(inside(piece, v) for piece in pieces):
+        while o * det2(lo, v) < 0:
+            v = sig.apply_pair(v)
+            word.append(SIGMA)
+        sig_inv = sig.inverse()
+        while o * det2(hi, v) >= 0:
+            v = sig_inv.apply_pair(v)
+            word.append(SIGMA_INV)
+    if model.has_involutions and not inside(pieces[0], v) and inside(pieces[1], v):
+        v = model.tau2.apply_pair(v)
         word.append(TAU2)
-        if cone_contains(pi, reduced):
-            return word, reduced
+    if inside(pieces[0], v):
+        return word, DivisorClass.from_ints(*v)
     raise ValueError("reduction landed outside the fundamental window; model data inconsistent")

@@ -15,7 +15,7 @@ from .cones import (
     DivisorClass,
     SigmaData,
     area_coordinate,
-    cone_coords,
+    coord_signs,
     in_open_movable,
 )
 from .exact import QuadNum
@@ -78,8 +78,7 @@ def geometric_grid(mmin: int = 256, mmax: int = 1 << 20, factor: int = 2) -> lis
 
 def _check_ample(model: CYModel, ample: DivisorClass) -> None:
     p, q = ample.integer_coords()
-    c1, c2 = cone_coords(model.nef_cone(), ample)
-    if c1.compare(0) <= 0 or c2.compare(0) <= 0:
+    if coord_signs(model.nef1, model.nef2, ample) != (1, 1):
         raise ValueError(f"{ample} is not ample (not interior to the nef cone)")
     if p < 2 or q < 2:
         raise ValueError(f"ample shift needs coordinates >= 2 in the (H1, H2) basis, got ({p},{q})")

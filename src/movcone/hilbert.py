@@ -16,8 +16,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-import numpy as np
-
 from .cones import C2Form, TriForm
 
 DEFAULT_DEGREE_CAP = 6
@@ -244,6 +242,8 @@ def _random_prime(rng: random.Random) -> int:
 def _rank_mod_p(base: np.ndarray, p: int) -> int:
     """Gaussian elimination over F_p on an int64 copy; p < 2^31 keeps every
     intermediate product inside int64."""
+    import numpy as np
+
     A = base % p
     m, n = A.shape
     r = 0
@@ -298,6 +298,8 @@ def hilbert_dim(
                 nrows += 1
     if not nrows:
         return ncols
+    # numpy loads here, on the first rank, so the CLI paths that never derive start faster
+    import numpy as np
 
     cells = (np.array(rows), np.array(cols))
 

@@ -8,6 +8,7 @@ unknown fields are rejected so convention drift cannot pass silently.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -196,7 +197,15 @@ def load_model(path) -> ModelFile:
 
 
 def save_model(mf: ModelFile, path) -> None:
-    Path(path).write_text(mf.to_json())
+    """Replace path by the model text atomically, through a new file beside it."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x") as fp:
+            fp.write(mf.to_json())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def data_dir() -> Path:

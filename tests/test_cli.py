@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,14 +11,17 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import movcone
 from movcone.cli import main
 from movcone.models import (
+    ModelFile,
     ModelParseError,
     bundled_model_path,
     data_dir,
     list_bundled_models,
     load_model,
     parse_model_text,
+    save_model,
 )
 
 BUNDLED = ("example41", "oguiso", "synthetic-bminus-empty")
@@ -39,6 +45,23 @@ def test_roundtrip_byte_identical():
         path = bundled_model_path(name)
         raw = path.read_text()
         assert load_model(path).to_json() == raw
+
+
+def test_save_model_failure_keeps_target(tmp_path, monkeypatch):
+    target = tmp_path / "oguiso.model"
+    shutil.copy(bundled_model_path("oguiso"), target)
+    before = target.read_bytes()
+    mf = load_model(target)
+    # a lone surrogate cannot be encoded, so the write fails part way
+    monkeypatch.setattr(ModelFile, "to_json", lambda self: '{"name": "\ud800"}\n')
+    with pytest.raises(UnicodeEncodeError):
+        save_model(mf, target)
+    assert target.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [target]
+    monkeypatch.undo()
+    save_model(mf, target)
+    assert target.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_unknown_field_rejected():
@@ -181,6 +204,22 @@ def test_h0_cli(runner):
 
     result = invoke(runner, "h0", str(bundled_model_path("example41")), "--", "-1,8")
     assert "h0 = 4" in result.output
+
+
+def test_h0_leaves_numpy_unloaded():
+    code = (
+        "import sys, movcone\n"
+        "from movcone.cli import main\n"
+        f"try:\n    main(['h0', {str(bundled_model_path('example41'))!r}, '3,2'])\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    # the child imports the same movcone as this process
+    path = [str(Path(movcone.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert "h0 = " in result.stdout
 
 
 def test_h0_outside_cone(runner):

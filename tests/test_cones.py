@@ -128,9 +128,11 @@ def test_eigenvalue_satisfies_characteristic_polynomial(ex41):
     assert lam * lam - 46 * lam + 1 == QuadNum(0)
 
 
-def test_eigenrays_are_exact_eigenvectors(ex41):
-    s = ex41.sigma
-    sig = ex41.model.sigma
+@pytest.mark.parametrize("dyn", ["ex41", "oguiso", "synthetic"])
+def test_eigenrays_are_exact_eigenvectors(dyn, request):
+    dyn = request.getfixturevalue(dyn)
+    s = dyn.sigma
+    sig = dyn.model.sigma
     for ray, ev in ((s.ray1, s.eigenvalue), (s.ray2, s.eigenvalue_inv)):
         img = sig.apply(ray)
         assert img.p == ray.p * ev and img.q == ray.q * ev
@@ -307,6 +309,36 @@ def test_reduce_involution(ex41):
     word, red = reduce_to_domain(ex41.model, ex41.sigma, ex41.pi, cls)
     assert word == [TAU2]
     assert red == D(2, 1)
+
+
+@pytest.mark.parametrize(
+    "dyn, base, k, word, reduced",
+    [
+        ("ex41", (3, 0), 1, [TAU2], (3, 0)),
+        ("ex41", (3, 0), -1, [SIGMA], (3, 0)),
+        ("ex41", (3, 0), 2, [SIGMA_INV] * 2, (3, 0)),
+        ("oguiso", (3, 0), 1, [TAU2], (3, 0)),
+        ("oguiso", (3, 0), -1, [SIGMA], (3, 0)),
+        ("oguiso", (3, 0), 2, [SIGMA_INV] * 2, (3, 0)),
+        ("ex41", (-3, 24), 0, [TAU2], (3, 0)),
+        ("ex41", (-3, 24), -1, [], (3, 0)),
+        ("synthetic", (3, 0), 1, [], (-3, 12)),
+        ("ex41", (3, 2), 300, [SIGMA_INV] * 300, (3, 2)),
+        ("ex41", (3, 2), -300, [SIGMA] * 300, (3, 2)),
+    ],
+)
+def test_reduce_tie_breaks_on_window_rays(dyn, base, k, word, reduced, request):
+    # sigma^k of classes on a boundary ray of the domain or of its tau2 mirror
+    # (pi wins over the mirror, the mirror over a sigma step), and long words
+    dyn = request.getfixturevalue(dyn)
+    cls = dyn.model.sigma.pow(k).apply(D(*base))
+    assert reduce_to_domain(dyn.model, dyn.sigma, dyn.pi, cls) == (word, D(*reduced))
+
+
+def test_reduce_rejects_domain_outside_movable(ex41):
+    # the negated nef cone passes the sigma-window test on slopes alone
+    with pytest.raises(ValueError, match="do not tile"):
+        reduce_to_domain(ex41.model, ex41.sigma, Cone2(D(-1, 0), D(0, -1)), D(1, 1))
 
 
 def test_reduce_rejects_outside_movable(ex41):
