@@ -2,8 +2,11 @@
 
 Graded pieces of R/I are measured as (#monomials) - rank of the relation
 matrix, with the rank computed over two random 31-bit prime fields and
-cross-checked.  An exact linear fit then inverts the Euler-characteristic
-cubic to recover triple intersection numbers and c2-degrees.
+cross-checked.  Linear generators are substituted away first (R/I = R'/I'
+with fewer variables), and the elimination of these very sparse matrices
+updates only the pivot row's nonzero columns.  An exact linear fit then
+inverts the Euler-characteristic cubic to recover triple intersection
+numbers and c2-degrees.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import gcd
 from pathlib import Path
 
 from .cones import C2Form, TriForm
@@ -239,12 +243,11 @@ def _random_prime(rng: random.Random) -> int:
             return c
 
 
-def _rank_mod_p(base: np.ndarray, p: int) -> int:
-    """Gaussian elimination over F_p on an int64 copy; p < 2^31 keeps every
-    intermediate product inside int64."""
+def _rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank over F_p by Gaussian elimination in place on int64 entries in
+    [0, p); p < 2^31 keeps every intermediate product inside int64."""
     import numpy as np
 
-    A = base % p
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -260,9 +263,51 @@ def _rank_mod_p(base: np.ndarray, p: int) -> int:
         below = r + 1 + np.flatnonzero(A[r + 1 :, c])
         if below.size:
             f = (A[below, c] * inv) % p
-            A[below, c:] = (A[below, c:] - f[:, None] * A[r, c:]) % p
+            # only the pivot row's nonzero columns change the rows below it
+            pc = c + np.flatnonzero(A[r, c:])
+            cells = np.ix_(below, pc)
+            A[cells] = (A[cells] - f[:, None] * A[r, pc]) % p
         r += 1
     return r
+
+
+def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
+    """R/I as R'/I' over fewer variables.  A (1,0) or (0,1) generator
+    sum c_j v_j with c_p != 0 at its last variable p maps every generator
+    under v_p -> -sum_{j != p} c_j v_j, v_j -> c_p v_j (c_p^deg times
+    eliminating v_p, in integers), divided by its content.  A kind down to
+    one variable keeps its linear generator: a ring needs one of each kind."""
+    while True:
+        counts = [ideal.ring.x_count, ideal.ring.y_count]
+        linear = next(((k, g) for g in ideal.generators for k in (0, 1)
+                       if g.bidegree == ((1, 0), (0, 1))[k] and counts[k] > 1), None)
+        if linear is None:
+            return ideal
+        kind, g = linear
+        coeffs = {mono[kind].index(1): c for mono, c in g.terms}
+        p = max(coeffs)
+        cp = coeffs.pop(p)
+        # variable j of this kind -> [(its index in the smaller ring, coefficient)]
+        image = [[(i - (i > p), -ci) for i, ci in coeffs.items()] if j == p else [(j - (j > p), cp)]
+                 for j in range(counts[kind])]
+        counts[kind] -= 1
+        ring = BiPolyRing(*counts)
+        gens = []
+        for h in ideal.generators:
+            total: dict = {}
+            for mono, c in h.terms:
+                factors = [image[j] for j, e in enumerate(mono[kind]) for _ in range(e)]
+                for choice in product(*factors):
+                    exps, coeff = [0] * counts[kind], c
+                    for i, v in choice:
+                        exps[i] += 1
+                        coeff *= v
+                    key = (tuple(exps), mono[1]) if kind == 0 else (mono[0], tuple(exps))
+                    total[key] = total.get(key, 0) + coeff
+            if any(total.values()):
+                d = gcd(*total.values())
+                gens.append(BiPoly.from_dict(ring, {m: v // d for m, v in total.items()}))
+        ideal = IdealSpec(ring, tuple(gens))
 
 
 def hilbert_dim(
@@ -274,6 +319,7 @@ def hilbert_dim(
         raise ValueError(f"bidegree must be non-negative, got {bidegree}")
     if a > degree_cap or b > degree_cap:
         raise ValueError(f"bidegree {bidegree} exceeds the configured cap {degree_cap}")
+    ideal = _substitute_linear(ideal)
     ring = ideal.ring
     xm = _monomials(ring.x_count, a)
     ym = _monomials(ring.y_count, b)

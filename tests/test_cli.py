@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -324,3 +325,71 @@ def test_cli_contract_on_mutated_models(text, cls, command):
         result.exception
     )
     assert result.exit_code in (0, 2, 3), result.output
+
+
+_COEFF = re.compile(r"^(\s*[+-]?\s*)(\d+\*)?")
+
+
+def _edit_terms(line, edit):
+    """Apply edit to each '+'/'-'-separated term of a generator line."""
+    return "".join(edit(t) for t in re.split(r"(?=[+-])", line))
+
+
+@st.composite
+def _ideal_texts(draw):
+    """A bundled model's ideal files with generator lines dropped, duplicated,
+    rescaled, raised by a variable or re-exponentiated, linear forms inserted,
+    or the ring header changed."""
+    name = draw(st.sampled_from(["example41", "oguiso"]))
+    names = load_model(bundled_model_path(name)).ideal_files
+    files = {f: (data_dir() / f).read_text().splitlines() for f in names}
+    for _ in range(draw(st.integers(1, 3))):
+        lines = files[draw(st.sampled_from(sorted(files)))]
+        head = next(i for i, line in enumerate(lines) if line.startswith("ring"))
+        gens = range(head + 1, len(lines))
+        action = draw(st.sampled_from(["drop", "dup", "linear", "coeff", "raise", "power", "ring"]))
+        i = draw(st.sampled_from(gens)) if gens else head
+        if action == "linear":
+            kind, bound = draw(st.sampled_from([("x", 4), ("y", 6)]))
+            term = st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, bound - 1))
+            terms = draw(st.lists(term, min_size=1, max_size=3))
+            lines.insert(i + 1, " + ".join(f"{c}*{kind}{j}" for c, j in terms).replace("+ -", "- "))
+        elif action == "ring":
+            lines[head] = f"ring x={draw(st.integers(0, 5))} y={draw(st.integers(0, 7))}"
+        elif i == head:
+            continue
+        elif action == "drop":
+            del lines[i]
+        elif action == "dup":
+            lines.insert(i, lines[i])
+        elif action == "coeff":
+            k = draw(st.sampled_from([0, 2, 3, 7, 2**70]))
+            lines[i] = _edit_terms(lines[i], lambda t: _COEFF.sub(rf"\g<1>{k}*", t))
+        elif action == "raise":
+            var = draw(st.sampled_from(["x0", "x3", "y1", "y5"]))
+            lines[i] = _edit_terms(lines[i], lambda t: f"{t.rstrip()}*{var} " if t.strip() else t)
+        else:
+            power = draw(st.integers(0, 4))
+            lines[i] = re.sub(r"([xy]\d)(\^\d+)?", rf"\g<1>^{power}", lines[i], count=1)
+    return name, {f: "\n".join(lines) + "\n" for f, lines in files.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_ideal_texts())
+def test_derive_contract_on_mutated_ideals(case):
+    """Any ideal text gives exit 0, 2 or 3, one error line and no traceback."""
+    name, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(bundled_model_path(name), Path(tmp) / "fuzz.model")
+        for f, text in files.items():
+            (Path(tmp) / f).write_text(text)
+        out = str(Path(tmp) / "out.model")
+        args = ["derive", str(Path(tmp) / "fuzz.model"), "--grid", "3", "--out", out]
+        result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+        result.exception
+    )
+    assert result.exit_code in (0, 2, 3), result.output
+    if result.exit_code:
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error: "), result.stderr

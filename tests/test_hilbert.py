@@ -14,7 +14,10 @@ from movcone import (
     parse_ideal_text,
     parse_poly,
 )
-from movcone.hilbert import _is_prime, _random_prime, _rank_mod_p
+from movcone import hilbert
+from movcone.hilbert import _is_prime, _random_prime, _rank_mod_p, _substitute_linear
+from fractions import Fraction
+from itertools import product
 import random
 
 import numpy as np
@@ -177,7 +180,7 @@ def test_rank_agrees_across_primes():
     primes = set()
     while len(primes) < 4:
         primes.add(_random_prime(rng))
-    ranks = {_rank_mod_p(base, p) for p in primes}
+    ranks = {_rank_mod_p(base % p, p) for p in primes}
     assert len(ranks) == 1
 
 
@@ -197,3 +200,101 @@ def test_coefficients_beyond_int64(oguiso_ideal):
     big = IdealSpec(oguiso_ideal.ring, (scaled,) + oguiso_ideal.generators[1:])
     for bd in default_sample_grid(3):
         assert hilbert_dim(big, bd) == hilbert_dim(oguiso_ideal, bd), bd
+
+
+@pytest.mark.parametrize(
+    "text, dim",
+    [
+        ("ring x=2 y=1\ny0", lambda a, b: a + 1 if b == 0 else 0),
+        ("ring x=1 y=2\nx0", lambda a, b: b + 1 if a == 0 else 0),
+        ("ring x=2 y=3\ny0\n3*y1 - y2\ny2\nx0*y2", lambda a, b: a + 1 if b == 0 else 0),
+        ("ring x=2 y=3\ny0 - y1\n2*y0 - 2*y1", lambda a, b: (a + 1) * (b + 1)),
+        ("ring x=2 y=2\n1", lambda a, b: 0),
+        ("ring x=2 y=2\n1\ny0", lambda a, b: 0),
+    ],
+    ids=["y-eliminated", "x-eliminated", "y-eliminated-with-others", "dependent", "constant",
+         "constant-and-linear"],
+)
+def test_linear_generator_edge_cases(text, dim):
+    ideal = parse_ideal_text(text)
+    for a, b in product(range(4), repeat=2):
+        assert hilbert_dim(ideal, (a, b)) == dim(a, b), (a, b)
+
+
+def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
+    # y5 = y0 + ... + y4 leaves the six nonlinear generators over x=4, y=5
+    sub = _substitute_linear(ex41_ideal)
+    assert (sub.ring.x_count, sub.ring.y_count) == (4, 5)
+    assert len(sub.generators) == 6
+    assert not any(g.bidegree in ((1, 0), (0, 1)) for g in sub.generators)
+    # and hilbert_dim ranks that ideal's matrix: at (2,2), 10 + 4*20 + 1 rows
+    # by 10*15 monomials, where the input ideal would give 167 x 210
+    shapes = set()
+
+    def spy(A, p):
+        shapes.add(A.shape)
+        return _rank_mod_p(A, p)
+
+    monkeypatch.setattr(hilbert, "_rank_mod_p", spy)
+    assert hilbert_dim(ex41_ideal, (2, 2)) == 80
+    assert shapes == {(91, 150)}
+
+
+def _exponents(n, d):
+    return [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+
+
+def _dim_over_q(ideal, a, b):
+    """Monomials minus the rank over Q of the unsubstituted relation matrix,
+    by exact echelon reduction of sparse Fraction rows."""
+    ring = ideal.ring
+    cols = list(product(_exponents(ring.x_count, a), _exponents(ring.y_count, b)))
+    index = {c: i for i, c in enumerate(cols)}
+    pivots = {}  # column -> reduced row with 1 there
+    for g in ideal.generators:
+        ga, gb = g.bidegree
+        if ga > a or gb > b:
+            continue
+        for xq, yq in product(_exponents(ring.x_count, a - ga), _exponents(ring.y_count, b - gb)):
+            row = {}
+            for (xe, ye), c in g.terms:
+                key = (tuple(map(sum, zip(xe, xq))), tuple(map(sum, zip(ye, yq))))
+                row[index[key]] = Fraction(c)
+            while row:
+                col = min(row)
+                if col not in pivots:
+                    pivots[col] = {k: v / row[col] for k, v in row.items()}
+                    break
+                f = row[col]
+                for k, v in pivots[col].items():
+                    row[k] = row.get(k, 0) - f * v
+                    if not row[k]:
+                        del row[k]
+    return len(cols) - len(pivots)
+
+
+def _random_ideal(rng):
+    """One or two linear generators with coefficients up to 7 (the first
+    scaled by 2^70 about a third of the time) and one to three of bidegree up
+    to (2, 2), over a ring of at most 3 + 3 variables."""
+    ring = BiPolyRing(rng.randint(1, 3), rng.randint(2, 3))
+    bidegrees = rng.sample([(1, 0), (0, 1), (0, 1)], rng.randint(1, 2)) + rng.sample(
+        [(1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)], rng.randint(1, 3)
+    )
+    gens = []
+    for i, (ga, gb) in enumerate(bidegrees):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = (rng.choice(_exponents(ring.x_count, ga)), rng.choice(_exponents(ring.y_count, gb)))
+            terms[mono] = rng.choice([-3, -2, -1, 1, 2, 3, 7])
+        if i == 0 and rng.random() < 0.3:
+            terms = {m: c << 70 for m, c in terms.items()}
+        gens.append(BiPoly.from_dict(ring, terms))
+    return IdealSpec(ring, tuple(gens))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hilbert_dim_matches_exact_rank_over_q(seed):
+    ideal = _random_ideal(random.Random(seed))
+    for a, b in product(range(4), repeat=2):
+        assert hilbert_dim(ideal, (a, b)) == _dim_over_q(ideal, a, b), (a, b)
