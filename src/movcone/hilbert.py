@@ -3,10 +3,13 @@
 Graded pieces of R/I are measured as (#monomials) - rank of the relation
 matrix, with the rank computed over two random 31-bit prime fields and
 cross-checked.  Linear generators are substituted away first (R/I = R'/I'
-with fewer variables), and the elimination of these very sparse matrices
-updates only the pivot row's nonzero columns.  An exact linear fit then
-inverts the Euler-characteristic cubic to recover triple intersection
-numbers and c2-degrees.
+with fewer variables).  The relation matrix is more than 99% zeros, so each
+row is a dict {column: coefficient}, and the elimination mod p follows the
+row order of F4's linear algebra (Faugere-Lachartre): shortest rows first,
+each reduced against monic pivot rows keyed by their highest column, which
+keeps the pivot rows sparse.  An exact linear fit then inverts the
+Euler-characteristic cubic to recover triple intersection numbers and
+c2-degrees.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd
+from operator import add
 from pathlib import Path
 
 from .cones import C2Form, TriForm
@@ -243,32 +247,27 @@ def _random_prime(rng: random.Random) -> int:
             return c
 
 
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank over F_p by Gaussian elimination in place on int64 entries in
-    [0, p); p < 2^31 keeps every intermediate product inside int64."""
-    import numpy as np
-
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        below = r + 1 + np.flatnonzero(A[r + 1 :, c])
-        if below.size:
-            f = (A[below, c] * inv) % p
-            # only the pivot row's nonzero columns change the rows below it
-            pc = c + np.flatnonzero(A[r, c:])
-            cells = np.ix_(below, pc)
-            A[cells] = (A[cells] - f[:, None] * A[r, pc]) % p
-        r += 1
-    return r
+def _rank_mod_p(rows: list[dict], p: int) -> int:
+    """Rank over F_p of sparse integer rows {column: coefficient}.  Rows are
+    reduced mod p and taken shortest first, each reduced against monic pivot
+    rows keyed by their highest column, so the pivot rows stay sparse."""
+    pivots: dict[int, dict] = {}
+    for row in sorted(({c: v % p for c, v in r.items() if v % p} for r in rows), key=len):
+        while row:
+            c = max(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                w = (row.get(k, 0) - f * v) % p
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
@@ -327,43 +326,23 @@ def hilbert_dim(
     yi = {e: i for i, e in enumerate(ym)}
     ncols = len(xm) * len(ym)
 
-    rows, cols, coeffs = [], [], []
-    nrows = 0
+    rows = []
     for g in ideal.generators:
         ga, gb = g.bidegree
         if ga > a or gb > b:
             continue
         for xq in _monomials(ring.x_count, a - ga):
             for yq in _monomials(ring.y_count, b - gb):
-                for (xe, ye), c in g.terms:
-                    xk = tuple(u + v for u, v in zip(xe, xq))
-                    yk = tuple(u + v for u, v in zip(ye, yq))
-                    rows.append(nrows)
-                    cols.append(xi[xk] * len(ym) + yi[yk])
-                    coeffs.append(c)
-                nrows += 1
-    if not nrows:
-        return ncols
-    # numpy loads here, on the first rank, so the CLI paths that never derive start faster
-    import numpy as np
-
-    cells = (np.array(rows), np.array(cols))
-
-    def relations_mod(p: int) -> np.ndarray:
-        # coefficients enter int64 only after reduction mod p, so ideal
-        # coefficients of any size are fine
-        base = np.zeros((nrows, ncols), dtype=np.int64)
-        np.add.at(base, cells, [c % p for c in coeffs])
-        return base
-
+                rows.append({xi[tuple(map(add, xe, xq))] * len(ym) + yi[tuple(map(add, ye, yq))]: c
+                             for (xe, ye), c in g.terms})
     for attempt in range(3):
-        rng = random.Random(f"hilbert-rank:{a}:{b}:{nrows}:{attempt}")
+        rng = random.Random(f"hilbert-rank:{a}:{b}:{len(rows)}:{attempt}")
         p1 = _random_prime(rng)
         p2 = _random_prime(rng)
         while p2 == p1:
             p2 = _random_prime(rng)
-        r1 = _rank_mod_p(relations_mod(p1), p1)
-        r2 = _rank_mod_p(relations_mod(p2), p2)
+        r1 = _rank_mod_p(rows, p1)
+        r2 = _rank_mod_p(rows, p2)
         if r1 == r2:
             return ncols - r1
     raise RankDisagreement(

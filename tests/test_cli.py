@@ -207,11 +207,23 @@ def test_h0_cli(runner):
     assert "h0 = 4" in result.output
 
 
-def test_h0_leaves_numpy_unloaded():
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["h0", "example41", "3,2"],
+        ["reduce", "example41", "--", "-1,8"],
+        ["sweep", "example41", "--out", "{tmp}/s.csv"],
+        ["verify", "example41"],
+        ["derive", "oguiso", "--out", "{tmp}/oguiso.model"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_command_leaves_numpy_unloaded(args, tmp_path):
+    argv = [str(bundled_model_path(a)) if a in BUNDLED else a.format(tmp=tmp_path) for a in args]
     code = (
         "import sys, movcone\n"
         "from movcone.cli import main\n"
-        f"try:\n    main(['h0', {str(bundled_model_path('example41'))!r}, '3,2'])\n"
+        f"try:\n    main({argv!r})\n"
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
         "assert 'numpy' not in sys.modules\n"
     )
@@ -220,7 +232,7 @@ def test_h0_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert "h0 = " in result.stdout
+    assert result.stdout
 
 
 def test_h0_outside_cone(runner):

@@ -14,13 +14,14 @@ from movcone import (
     parse_ideal_text,
     parse_poly,
 )
-from movcone import hilbert
+from movcone import C2Form, TriForm, hilbert, intersection_data
+from movcone.chow import CIData, MultiProjAmbient
 from movcone.hilbert import _is_prime, _random_prime, _rank_mod_p, _substitute_linear
 from fractions import Fraction
 from itertools import product
 import random
 
-import numpy as np
+from test_acceptance import _pfaffian_model_expected
 
 RING46 = BiPolyRing(4, 6)
 
@@ -172,16 +173,63 @@ def test_default_sample_grid():
     assert all(1 <= a and 1 <= b and a + b >= 2 for a, b in grid)
 
 
+def _sparse(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
 def test_rank_agrees_across_primes():
     rng = random.Random(3)
-    base = np.array(
-        [[rng.randint(-4, 4) for _ in range(30)] for _ in range(40)], dtype=np.int64
-    )
+    base = _sparse([[rng.randint(-4, 4) for _ in range(30)] for _ in range(40)])
     primes = set()
     while len(primes) < 4:
         primes.add(_random_prime(rng))
-    ranks = {_rank_mod_p(base % p, p) for p in primes}
+    ranks = {_rank_mod_p(base, p) for p in primes}
     assert len(ranks) == 1
+
+
+def _rank_over_q(matrix):
+    """Rank over Q by exact echelon reduction of Fraction rows."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [u - f * v for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _test_matrix(rng, kind):
+    """A small integer matrix: dense, sparse (about 15% nonzero), or
+    rank-deficient (a few random rows plus duplicates, sums and multiples)."""
+    m, n = rng.randint(1, 12), rng.randint(1, 12)
+    if kind == "dense":
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    if kind == "sparse":
+        return [[rng.randint(-9, 9) if rng.random() < 0.15 else 0 for _ in range(n)] for _ in range(m)]
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+    for _ in range(m):
+        u, v = rng.choice(rows), rng.choice(rows)
+        k = rng.choice([0, 1, -2])
+        rows.append(list(u) if rng.random() < 0.3 else [x + k * y for x, y in zip(u, v)])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "deficient"])
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_mod_p_matches_exact_rank_over_q(seed, kind):
+    # adding p or 2^70 p to an entry changes nothing mod p, so zero entries
+    # become coefficients equal to p or 2^70 p that the rank must ignore
+    rng = random.Random(f"{kind}:{seed}")
+    matrix = _test_matrix(rng, kind)
+    p = _random_prime(rng)
+    lifted = [[v + p * rng.choice([0, 0, 1, -1, 1 << 70]) for v in row] for row in matrix]
+    assert _rank_mod_p(_sparse(lifted), p) == _rank_over_q(matrix)
 
 
 def test_prime_generator():
@@ -228,16 +276,36 @@ def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
     assert len(sub.generators) == 6
     assert not any(g.bidegree in ((1, 0), (0, 1)) for g in sub.generators)
     # and hilbert_dim ranks that ideal's matrix: at (2,2), 10 + 4*20 + 1 rows
-    # by 10*15 monomials, where the input ideal would give 167 x 210
-    shapes = set()
+    # by 10*15 monomials, where the input ideal would give 167 x 210; the
+    # column count is the returned dimension plus the rank
+    seen = set()
 
-    def spy(A, p):
-        shapes.add(A.shape)
-        return _rank_mod_p(A, p)
+    def spy(rows, p):
+        assert all(0 <= c < 150 for row in rows for c in row)
+        rank = _rank_mod_p(rows, p)
+        seen.add((len(rows), rank))
+        return rank
 
     monkeypatch.setattr(hilbert, "_rank_mod_p", spy)
-    assert hilbert_dim(ex41_ideal, (2, 2)) == 80
-    assert shapes == {(91, 150)}
+    dim = hilbert_dim(ex41_ideal, (2, 2))
+    assert dim == 80
+    assert {(rows, rank + dim) for rows, rank in seen} == {(91, 150)}
+
+
+@pytest.mark.parametrize("name", ["example41", "oguiso"])
+def test_grid_5_dims_equal_chi(name, ex41_ideal, oguiso_ideal):
+    # beyond the fitted grid 1..4: the Hilbert function has stabilized on the
+    # Euler cubic of the reference data (Schubert calculus for example41,
+    # the Chow ring for oguiso)
+    if name == "example41":
+        ideal, (tri, c2) = ex41_ideal, _pfaffian_model_expected()
+        tri, c2 = TriForm(*tri), C2Form(*c2)
+    else:
+        ideal = oguiso_ideal
+        tri, c2 = intersection_data(CIData(MultiProjAmbient((3, 3)), ((1, 1), (1, 1), (2, 2))))
+    for a, b in [(5, 5), (1, 5), (5, 1)]:
+        chi12 = 2 * tri.cube(a, b) + c2.pair(a, b)
+        assert chi12 % 12 == 0 and hilbert_dim(ideal, (a, b)) == chi12 // 12, (a, b)
 
 
 def _exponents(n, d):
