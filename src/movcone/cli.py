@@ -12,21 +12,17 @@ from pathlib import Path
 
 import click
 
-from . import chow, growth, hilbert, models
+from . import chow, growth, hilbert, models, properties
 from .cones import (
     DivisorClass,
-    area_coordinate,
-    cone_contains,
-    eigen_coords,
+    Dynamics,
     eigen_sigma,
     fundamental_domain,
-    movable_cone,
+    prepare,
     reduce_to_domain,
-    slope_coordinate,
     validate_model,
 )
-from .exact import QuadNum
-from .riemann_roch import ChamberCoveringError, chi_nef, h0_movable
+from .riemann_roch import ChamberCoveringError, h0_movable
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -96,112 +92,33 @@ def verify(model_file: str, samples: int, seed: int):
         report("eigen-analysis", str(exc))
         sys.exit(EXIT_VALIDATION)
 
-    x = model.nef1 + model.nef2
     try:
-        pi = fundamental_domain(model, x)
-        ok = cone_contains(pi, model.nef1) and cone_contains(pi, model.nef2)
-        report("fundamental-domain", None if ok else "nef cone not contained")
+        pi = fundamental_domain(model, model.nef1 + model.nef2)
+        report("fundamental-domain", None)
     except ValueError as exc:
         pi = None
         report("fundamental-domain", str(exc))
 
     rng = random.Random(seed)
-    lam2 = s.eigenvalue * s.eigenvalue
-
-    def random_movable() -> DivisorClass:
-        base = DivisorClass.from_ints(rng.randint(1, 9), rng.randint(1, 9))
-        k = rng.randint(-3, 3)
-        D = model.sigma.pow(k).apply(base)
-        if model.has_involutions and rng.random() < 0.5:
-            D = model.tau2.apply(D)
-        return D
-
-    problem = None
-    for _ in range(samples):
-        D = random_movable()
-        if area_coordinate(D, s) != area_coordinate(model.sigma.apply(D), s):
-            problem = f"area changed under sigma for {D}"
-            break
-    report("area-invariance", problem)
-
-    problem = None
-    for _ in range(samples):
-        D = random_movable()
-        lhs = slope_coordinate(model.sigma.apply(D), s)
-        if lhs != lam2 * slope_coordinate(D, s):
-            problem = f"slope scaling violated for {D}"
-            break
-    report("slope-scaling", problem)
-
-    if model.has_involutions and pi is not None:
-        problem = None
-        for _ in range(samples):
-            d1, d2 = rng.randint(1, 50), rng.randint(1, 50)
-            D = pi.ray1.scale(d1) + pi.ray2.scale(d2)
-            val = area_coordinate(model.tau2.apply(D), s)
-            ref = area_coordinate(D, s)
-            if not (
-                val.compare(ref / s.eigenvalue) > 0 and val.compare(ref * s.eigenvalue) < 0
-            ):
-                problem = f"wall-crossing area sandwich violated for {D}"
-                break
-        report("wall-crossing-sandwich", problem)
-
-        try:
-            problem = None
-            for _ in range(max(1, samples // 5)):
-                D = random_movable()
-                base_h0, _ = h0_movable(model, s, pi, D)
-                word_maps = [model.sigma, model.sigma.inverse(), model.tau1, model.tau2]
-                g = D
-                for _ in range(rng.randint(1, 5)):
-                    g = rng.choice(word_maps).apply(g)
-                h0_g, _ = h0_movable(model, s, pi, g)
-                if h0_g != base_h0:
-                    problem = f"section count changed along a word for {D}"
-                    break
-            report("section-count-word-invariance", problem)
-        except ChamberCoveringError as exc:
-            click.echo(f"SKIP section-count-word-invariance: {exc}")
-    else:
-        click.echo("SKIP wall-crossing-sandwich: model has no birational involutions")
-        click.echo("SKIP section-count-word-invariance: model has no birational involutions")
-
-    problem = None
-    for a in range(6):
-        for b in range(6):
-            D = model.nef1.scale(a) + model.nef2.scale(b)
-            try:
-                chi_nef(model, D)
-            except ValueError as exc:
-                problem = str(exc)
-    report("chi-integrality", problem)
-
-    problem = None
-    for _ in range(samples):
-        x_val = QuadNum(
-            rng.randint(-500, 500),
-            rng.randint(-50, 50),
-            rng.choice([2, 3, 5, s.d]),
-        ) / rng.randint(1, 20)
-        f = x_val.floor()
-        if not (x_val.compare(f) >= 0 and x_val.compare(f + 1) < 0):
-            problem = f"floor bracketing violated for {x_val}"
-            break
-    report("floor-bracketing", problem)
-
-    problem = None
-    mov = movable_cone(s)
-    for _ in range(samples):
-        D = DivisorClass.from_ints(rng.randint(-20, 20), rng.randint(-20, 20))
-        if D.is_zero():
+    dyn = Dynamics(model, s, pi)
+    involutive = model.has_involutions and pi is not None
+    suites = (
+        ("area-invariance", properties.area_invariance, samples, False),
+        ("slope-scaling", properties.slope_scaling, samples, False),
+        ("wall-crossing-sandwich", properties.wall_crossing_sandwich, samples, True),
+        ("section-count-word-invariance", properties.section_count_word_invariance, max(1, samples // 5), True),
+        ("chi-integrality", properties.chi_integrality, 6, False),
+        ("floor-bracketing", properties.floor_bracketing, samples, False),
+        ("cone-membership", properties.cone_membership, samples, False),
+    )
+    for name, suite, count, needs_involutions in suites:
+        if needs_involutions and not involutive:
+            click.echo(f"SKIP {name}: model has no birational involutions")
             continue
-        a1, a2 = eigen_coords(D, s)
-        expect = a1.compare(0) >= 0 and a2.compare(0) >= 0
-        if cone_contains(mov, D) != expect:
-            problem = f"cone membership inconsistent for {D}"
-            break
-    report("cone-membership", problem)
+        try:
+            report(name, suite(dyn, rng, count))
+        except ChamberCoveringError as exc:
+            click.echo(f"SKIP {name}: {exc}")
 
     sys.exit(EXIT_VALIDATION if failures else EXIT_OK)
 
@@ -264,21 +181,19 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
     prov["c2form"] = tag
     mf.provenance = prov
     target = Path(out) if out else mf.path
-    models.save_model(mf, target)
+    try:
+        models.save_model(mf, target)
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, f"cannot write {target}: {exc.strerror or exc}")
     click.echo(f"wrote {target}")
 
 
-def _prepare_dynamics(mf: models.ModelFile):
+def _prepare(model_file: str) -> Dynamics:
+    mf = _load(model_file)
     try:
-        model = mf.to_cymodel()
-        issues = validate_model(model)
-        if issues:
-            raise ValueError("; ".join(issues))
-        s = eigen_sigma(model)
-        pi = fundamental_domain(model, model.nef1 + model.nef2)
+        return prepare(mf.to_cymodel())
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
-    return model, s, pi
 
 
 @main.command()
@@ -291,18 +206,20 @@ def _prepare_dynamics(mf: models.ModelFile):
 @click.option("--out", type=click.Path(), default="sweep.csv", show_default=True)
 def sweep(model_file: str, ray: str, direction: str | None, ample: str, mmin: int, mmax: int, out: str):
     """Run the section-count growth sweep and fit the exponent."""
-    mf = _load(model_file)
-    model, s, pi = _prepare_dynamics(mf)
+    dyn = _prepare(model_file)
     ample_cls = _parse_class(ample)
     ray_arg = _parse_class(direction) if direction else ray
     try:
         ms = growth.geometric_grid(mmin, mmax)
-        records = growth.sweep(model, s, pi, ample_cls, ms, ray=ray_arg)
+        records = growth.sweep(dyn.model, dyn.sigma, dyn.pi, ample_cls, ms, ray=ray_arg)
         report = growth.estimate_exponent(records)
     except (ValueError, ChamberCoveringError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
-    with open(out, "w") as fp:
-        growth.write_csv(records, fp)
+    try:
+        with open(out, "w") as fp:
+            growth.write_csv(records, fp)
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, f"cannot write {out}: {exc.strerror or exc}")
     click.echo(f"wrote {out} ({len(records)} records)")
     click.echo(
         f"slope = {report.slope:.4f}  intercept = {report.intercept:.4f}  "
@@ -316,11 +233,10 @@ def sweep(model_file: str, ray: str, direction: str | None, ample: str, mmin: in
 @click.argument("cls")
 def reduce(model_file: str, cls: str):
     """Reduce an integral movable class into the fundamental domain."""
-    mf = _load(model_file)
-    model, s, pi = _prepare_dynamics(mf)
+    dyn = _prepare(model_file)
     D = _parse_class(cls)
     try:
-        word, reduced = reduce_to_domain(model, s, pi, D)
+        word, reduced = reduce_to_domain(dyn.model, dyn.sigma, dyn.pi, D)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     p, q = reduced.integer_coords()
@@ -333,12 +249,11 @@ def reduce(model_file: str, cls: str):
 @click.argument("cls")
 def h0(model_file: str, cls: str):
     """Section count of an integral class in the open movable cone."""
-    mf = _load(model_file)
-    model, s, pi = _prepare_dynamics(mf)
+    dyn = _prepare(model_file)
     D = _parse_class(cls)
     try:
-        word, reduced = reduce_to_domain(model, s, pi, D)
-        count, _ = h0_movable(model, s, pi, reduced)
+        word, reduced = reduce_to_domain(dyn.model, dyn.sigma, dyn.pi, D)
+        count, _ = h0_movable(dyn.model, dyn.sigma, dyn.pi, reduced)
     except (ValueError, ChamberCoveringError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     p, q = reduced.integer_coords()

@@ -506,6 +506,24 @@ def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
     raise ValueError("fundamental domain alignment with the nef cone did not terminate")
 
 
+@dataclass(frozen=True)
+class Dynamics:
+    """A validated model with its eigen-analysis and fundamental domain."""
+
+    model: CYModel
+    sigma: SigmaData
+    pi: Cone2
+
+
+def prepare(model: CYModel) -> Dynamics:
+    """Validate the model, then build its eigen-analysis and the fundamental
+    domain on the ample class nef1 + nef2; raises ValueError on any failure."""
+    issues = validate_model(model)
+    if issues:
+        raise ValueError("; ".join(issues))
+    return Dynamics(model, eigen_sigma(model), fundamental_domain(model, model.nef1 + model.nef2))
+
+
 def reduce_to_domain(
     model: CYModel, s: SigmaData, pi: Cone2, D: DivisorClass
 ) -> tuple[list[str], DivisorClass]:

@@ -8,7 +8,6 @@ arithmetic only; floats never enter any branch.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import total_ordering
 
@@ -88,52 +87,6 @@ class QuadNum:
     @property
     def is_rational(self) -> bool:
         return not self._b
-
-    def as_fraction(self) -> Fraction:
-        if self._b:
-            raise ValueError(f"{self} is irrational")
-        return self._a
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def sqrt(cls, d: int) -> QuadNum:
-        return cls(0, 1, d)
-
-    _PARSE_RE = re.compile(
-        r"""^\s*
-        (?:
-            (?P<rat>[+-]?\d+(?:/\d+)?)
-            (?:\s*(?P<op>[+-])\s*
-               (?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?
-               sqrt\(\s*(?P<rad>\d+)\s*\)
-            )?
-          |
-            (?P<sign>[+-])?\s*
-            (?:(?P<coef2>\d+(?:/\d+)?)\s*\*\s*)?
-            sqrt\(\s*(?P<rad2>\d+)\s*\)
-        )\s*$""",
-        re.X,
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> QuadNum:
-        """Parse "a + b*sqrt(d)" with rational a, b written as "p/q"."""
-        m = cls._PARSE_RE.match(text)
-        if not m:
-            raise ValueError(f"cannot parse quadratic number from {text!r}")
-        if m.group("rat") is not None:
-            a = Fraction(m.group("rat"))
-            if m.group("rad") is None:
-                return cls(a)
-            b = Fraction(m.group("coef") or 1)
-            if m.group("op") == "-":
-                b = -b
-            return cls(a, b, int(m.group("rad")))
-        b = Fraction(m.group("coef2") or 1)
-        if m.group("sign") == "-":
-            b = -b
-        return cls(0, b, int(m.group("rad2")))
 
     # -- arithmetic ----------------------------------------------------------
 

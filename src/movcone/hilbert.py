@@ -309,15 +309,13 @@ def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
         ideal = IdealSpec(ring, tuple(gens))
 
 
-def hilbert_dim(
-    ideal: IdealSpec, bidegree: tuple[int, int], degree_cap: int = DEFAULT_DEGREE_CAP
-) -> int:
+def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
     """Dimension of the degree-(a, b) piece of ring/ideal."""
     a, b = bidegree
     if a < 0 or b < 0:
         raise ValueError(f"bidegree must be non-negative, got {bidegree}")
-    if a > degree_cap or b > degree_cap:
-        raise ValueError(f"bidegree {bidegree} exceeds the configured cap {degree_cap}")
+    if a > DEFAULT_DEGREE_CAP or b > DEFAULT_DEGREE_CAP:
+        raise ValueError(f"bidegree {bidegree} exceeds the cap {DEFAULT_DEGREE_CAP}")
     ideal = _substitute_linear(ideal)
     ring = ideal.ring
     xm = _monomials(ring.x_count, a)

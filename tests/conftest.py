@@ -4,35 +4,21 @@ from dataclasses import dataclass
 import pytest
 
 from movcone import (
-    Cone2,
-    CYModel,
-    SigmaData,
     TriForm,
     C2Form,
     default_sample_grid,
-    eigen_sigma,
     fit_chi,
-    fundamental_domain,
     hilbert_dim,
     load_ideal_file,
     load_model,
     merge_ideals,
 )
+from movcone.cones import Dynamics, prepare
 from movcone.models import bundled_model_path
 
 
-@dataclass(frozen=True)
-class Dynamics:
-    model: CYModel
-    sigma: SigmaData
-    pi: Cone2
-
-
 def _dynamics(name: str) -> Dynamics:
-    model = load_model(bundled_model_path(name)).to_cymodel()
-    s = eigen_sigma(model)
-    pi = fundamental_domain(model, model.nef1 + model.nef2)
-    return Dynamics(model, s, pi)
+    return prepare(load_model(bundled_model_path(name)).to_cymodel())
 
 
 @pytest.fixture(scope="session")

@@ -15,21 +15,24 @@ from movcone import (
     DivisorClass,
     LatticeMap,
     QuadNum,
-    area_coordinate,
     chi_nef,
-    cone_contains,
-    eigen_coords,
     estimate_exponent,
-    h0_movable,
     hilbert_dim,
     intersection_data,
-    movable_cone,
     rounddown_check,
-    slope_coordinate,
     sweep,
 )
 from movcone.chow import CIData, MultiProjAmbient, TruncPoly, ci_chern, integrate
 from movcone.growth import geometric_grid
+from movcone.properties import (
+    area_invariance,
+    chi_integrality,
+    cone_membership,
+    floor_bracketing,
+    section_count_word_invariance,
+    slope_scaling,
+    wall_crossing_sandwich,
+)
 
 D = DivisorClass.from_ints
 A55 = D(5, 5)
@@ -168,58 +171,18 @@ def test_criterion_4_growth_exponent_windows(ex41, oguiso):
 
 
 def test_criterion_5_exact_property_suites(ex41):
-    model, s, pi = ex41.model, ex41.sigma, ex41.pi
     rng = random.Random(20250810)
-    lam2 = s.eigenvalue**2
-
-    for _ in range(10_000):
-        cls = model.sigma.pow(rng.randint(-4, 4)).apply(
-            D(rng.randint(1, 80), rng.randint(1, 80))
-        )
-        assert area_coordinate(model.sigma.apply(cls), s) == area_coordinate(cls, s)
-        assert slope_coordinate(model.sigma.apply(cls), s) == lam2 * slope_coordinate(cls, s)
-
-    lam = s.eigenvalue
-    for _ in range(1_000):
-        d1 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
-        d2 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
-        cls = pi.ray1.scale(d1) + pi.ray2.scale(d2)
-        val = area_coordinate(model.tau2.apply(cls), s)
-        ref = area_coordinate(cls, s)
-        assert val.compare(ref / lam) > 0 and val.compare(ref * lam) < 0
-
-    maps = [model.sigma, model.sigma.inverse(), model.tau1, model.tau2]
-    for _ in range(1_000):
-        base = D(rng.randint(1, 30), rng.randint(1, 30))
-        h0_base, _ = h0_movable(model, s, pi, base)
-        moved = base
-        for _ in range(rng.randint(1, 6)):
-            moved = rng.choice(maps).apply(moved)
-        h0_moved, _ = h0_movable(model, s, pi, moved)
-        assert h0_moved == h0_base
-
-    for a in range(32):
-        for b in range(32):
-            chi_nef(model, D(a, b))  # raises on any non-integral value
-
-    for _ in range(10_000):
-        x = QuadNum(
-            Fraction(rng.randint(-9000, 9000), rng.randint(1, 50)),
-            Fraction(rng.randint(-900, 900), rng.randint(1, 50)),
-            rng.choice([2, 3, 5, 33]),
-        )
-        f = x.floor()
-        assert x.compare(f) >= 0 and x.compare(f + 1) < 0
-
-    mov = movable_cone(s)
-    for _ in range(10_000):
-        cls = D(rng.randint(-40, 40), rng.randint(-40, 40))
-        if cls.is_zero():
-            continue
-        a1, a2 = eigen_coords(cls, s)
-        assert cone_contains(mov, cls) == (a1.compare(0) >= 0 and a2.compare(0) >= 0)
-
-    _report("criterion-5 exact randomized property suites", True)
+    suites = (
+        (area_invariance, 10_000),
+        (slope_scaling, 10_000),
+        (wall_crossing_sandwich, 1_000),
+        (section_count_word_invariance, 1_000),
+        (chi_integrality, 32),
+        (floor_bracketing, 10_000),
+        (cone_membership, 10_000),
+    )
+    problems = [p for suite, count in suites if (p := suite(ex41, rng, count))]
+    _report("criterion-5 exact randomized property suites", not problems, "; ".join(problems))
 
 
 def test_criterion_6_empirical_bands(ex41):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import movcone
+from movcone import properties
 from movcone.cli import main
 from movcone.models import (
     ModelFile,
@@ -118,6 +119,13 @@ def test_verify_broken_chi_integrality(runner, tmp_path):
     assert "chi integrality" in result.output
 
 
+def test_verify_reports_failing_property_suite(runner, monkeypatch):
+    monkeypatch.setattr(properties, "area_coordinate", lambda D, s: D.p)
+    result = invoke(runner, "verify", str(bundled_model_path("example41")), "--samples", "10")
+    assert result.exit_code == 2
+    assert "FAIL area-invariance: area changed under sigma for" in result.output
+
+
 def test_verify_parse_error_exit_code(runner, tmp_path):
     bad = tmp_path / "garbage.model"
     bad.write_text("{not json")
@@ -182,6 +190,17 @@ def test_sweep_cli(runner, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "m,p,q,h0,l1_approx,word_len,skipped"
     assert len(lines) == 14
+
+
+@pytest.mark.parametrize("command", ["sweep", "derive"])
+def test_unwritable_out_is_one_error_line(command, tmp_path):
+    target = tmp_path / "missing" / "out"
+    result = CliRunner().invoke(main, [command, str(_stage(tmp_path, "oguiso")), "--out", str(target)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+        result.exception
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1, result.stderr
 
 
 def test_sweep_rejects_non_ample(runner):

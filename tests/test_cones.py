@@ -26,6 +26,7 @@ from movcone import (
     validate_model,
 )
 from movcone.cones import SIGMA, SIGMA_INV, TAU2
+from movcone.properties import wall_crossing_sandwich
 
 D = DivisorClass.from_ints
 
@@ -225,31 +226,9 @@ def test_cone_membership_examples(ex41):
     assert not cone_contains(mov, D(-1, 0))
 
 
-def test_cone_membership_matches_eigen_sign(ex41):
-    rng = random.Random(5)
-    s = ex41.sigma
-    mov = movable_cone(s)
-    for _ in range(2000):
-        cls = D(rng.randint(-30, 30), rng.randint(-30, 30))
-        if cls.is_zero():
-            continue
-        a1, a2 = eigen_coords(cls, s)
-        assert cone_contains(mov, cls) == (a1.compare(0) >= 0 and a2.compare(0) >= 0)
-
-
 def test_cone_rejects_proportional_rays():
     with pytest.raises(ValueError):
         Cone2(D(1, 2), D(2, 4))
-
-
-def test_area_invariance_and_slope_scaling(ex41):
-    rng = random.Random(17)
-    m, s = ex41.model, ex41.sigma
-    lam2 = s.eigenvalue**2
-    for _ in range(10_000):
-        cls = m.sigma.pow(rng.randint(-4, 4)).apply(D(rng.randint(1, 60), rng.randint(1, 60)))
-        assert area_coordinate(m.sigma.apply(cls), s) == area_coordinate(cls, s)
-        assert slope_coordinate(m.sigma.apply(cls), s) == lam2 * slope_coordinate(cls, s)
 
 
 def test_eigen_coordinate_square_identities(ex41):
@@ -273,16 +252,7 @@ def test_slope_undefined_on_expanding_ray(ex41):
 def test_wall_crossing_area_sandwich(ex41, oguiso):
     rng = random.Random(29)
     for dyn in (ex41, oguiso):
-        m, s, pi = dyn.model, dyn.sigma, dyn.pi
-        lam = s.eigenvalue
-        for _ in range(1000):
-            d1 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
-            d2 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
-            cls = pi.ray1.scale(d1) + pi.ray2.scale(d2)
-            val = area_coordinate(m.tau2.apply(cls), s)
-            ref = area_coordinate(cls, s)
-            assert val.compare(ref / lam) > 0
-            assert val.compare(ref * lam) < 0
+        assert wall_crossing_sandwich(dyn, rng, 1000) is None
 
 
 def test_reduce_identity_inside_domain(ex41):

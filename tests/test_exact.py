@@ -76,26 +76,12 @@ def test_squarefree_decompose():
         squarefree_decompose(0)
 
 
-def test_render_and_parse_roundtrip_examples():
-    lam = QuadNum(23, 4, 33)
-    assert str(lam) == "23 + 4*sqrt(33)"
-    assert QuadNum.parse("23 + 4*sqrt(33)") == lam
-    r1p = QuadNum(Fraction(-6, 2), Fraction(1, 2), 33)
-    assert str(r1p) == "-3 + 1/2*sqrt(33)"
-    assert QuadNum.parse(str(r1p)) == r1p
-    assert QuadNum.parse("-5/3") == QuadNum(Fraction(-5, 3))
-    assert QuadNum.parse("sqrt(2)") == QuadNum(0, 1, 2)
-    assert QuadNum.parse("-sqrt(2)") == QuadNum(0, -1, 2)
-    with pytest.raises(ValueError):
-        QuadNum.parse("23 4*sqrt(33)")
-    with pytest.raises(ValueError):
-        QuadNum.parse("")
-
-
-@settings(max_examples=200)
-@given(quads, quads.map(lambda x: x))
-def test_parse_roundtrip_property(x, _):
-    assert QuadNum.parse(str(x)) == x
+def test_str_renders_each_shape():
+    assert str(QuadNum(Fraction(-5, 3))) == "-5/3"
+    assert str(QuadNum(23, 4, 33)) == "23 + 4*sqrt(33)"
+    assert str(QuadNum(-3, Fraction(-1, 2), 33)) == "-3 - 1/2*sqrt(33)"
+    assert str(QuadNum(0, 2, 3)) == "2*sqrt(3)"
+    assert str(QuadNum(0, -1, 2)) == "-1*sqrt(2)"
 
 
 @settings(max_examples=150)

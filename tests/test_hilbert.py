@@ -86,7 +86,6 @@ def test_degree_cap_enforced():
     empty = IdealSpec(RING46, ())
     with pytest.raises(ValueError):
         hilbert_dim(empty, (7, 0))
-    assert hilbert_dim(empty, (7, 0), degree_cap=7) == comb(10, 3)
     with pytest.raises(ValueError):
         hilbert_dim(empty, (-1, 0))
 

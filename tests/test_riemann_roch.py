@@ -13,6 +13,7 @@ from movcone import (
     h0_movable,
 )
 from movcone.cones import SIGMA_INV, TAU2
+from movcone.properties import chi_integrality, section_count_word_invariance
 from movcone.riemann_roch import ChamberCoveringError
 
 D = DivisorClass.from_ints
@@ -58,16 +59,7 @@ def test_h0_examples(ex41):
 def test_h0_invariance_under_random_words(ex41, oguiso):
     rng = random.Random(4)
     for dyn in (ex41, oguiso):
-        m, s, pi = dyn.model, dyn.sigma, dyn.pi
-        maps = [m.sigma, m.sigma.inverse(), m.tau1, m.tau2]
-        for _ in range(500):
-            base = D(rng.randint(1, 25), rng.randint(1, 25))
-            h0_base, _ = h0_movable(m, s, pi, base)
-            moved = base
-            for _ in range(rng.randint(1, 6)):
-                moved = rng.choice(maps).apply(moved)
-            h0_moved, _ = h0_movable(m, s, pi, moved)
-            assert h0_moved == h0_base
+        assert section_count_word_invariance(dyn, rng, 500) is None
 
 
 def test_h0_rejects_chamber_covered_models(synthetic):
@@ -108,6 +100,4 @@ def test_movable_band_is_bounded(ex41):
 
 def test_chi_integrality_on_nef_lattice(ex41, oguiso, synthetic):
     for dyn in (ex41, oguiso, synthetic):
-        for a in range(8):
-            for b in range(8):
-                assert chi_nef(dyn.model, D(a, b)) >= 0
+        assert chi_integrality(dyn, random.Random(0), 8) is None
