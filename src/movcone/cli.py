@@ -60,6 +60,8 @@ def main():
 @click.option("--seed", default=0, show_default=True, help="Seed for the property suites.")
 def verify(model_file: str, samples: int, seed: int):
     """Validate a model and run its randomized property suites."""
+    if samples < 1:
+        _fail(EXIT_VALIDATION, f"--samples must be at least 1, got {samples}")
     mf = _load(model_file)
     failures = 0
 
@@ -209,14 +211,16 @@ def sweep(model_file: str, ray: str, direction: str | None, ample: str, mmin: in
     dyn = _prepare(model_file)
     ample_cls = _parse_class(ample)
     ray_arg = _parse_class(direction) if direction else ray
+    # the temp file is opened before the sweep, so an unwritable --out fails
+    # before any computation; out is replaced only after the fit succeeds
     try:
-        ms = growth.geometric_grid(mmin, mmax)
-        records = growth.sweep(dyn.model, dyn.sigma, dyn.pi, ample_cls, ms, ray=ray_arg)
-        report = growth.estimate_exponent(records)
-    except (ValueError, ChamberCoveringError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    try:
-        with open(out, "w") as fp:
+        with models.atomic_write(out) as fp:
+            try:
+                ms = growth.geometric_grid(mmin, mmax)
+                records = growth.sweep(dyn.model, dyn.sigma, dyn.pi, ample_cls, ms, ray=ray_arg)
+                report = growth.estimate_exponent(records)
+            except (ValueError, ChamberCoveringError) as exc:
+                _fail(EXIT_VALIDATION, str(exc))
             growth.write_csv(records, fp)
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot write {out}: {exc.strerror or exc}")

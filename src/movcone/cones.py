@@ -82,6 +82,17 @@ def det2(u, v):
     return up * vq - uq * vp
 
 
+def _rational_pair(D: DivisorClass):
+    """(p, q) of a rational class as ints or Fractions, None for an irrational one."""
+    p, q = D.p, D.q
+    if p.is_rational and q.is_rational:
+        p, q = p.a, q.a
+        if p.denominator == 1 and q.denominator == 1:
+            return p.numerator, q.numerator
+        return p, q
+    return None
+
+
 def _sign(x) -> int:
     return x.compare(0) if isinstance(x, QuadNum) else (x > 0) - (x < 0)
 
@@ -158,7 +169,10 @@ class LatticeMap:
         return self.a + self.d
 
     def apply(self, D: DivisorClass) -> DivisorClass:
-        return DivisorClass(D.p * self.a + D.q * self.b, D.p * self.c + D.q * self.d)
+        pq = _rational_pair(D)
+        if pq is None:
+            return DivisorClass(D.p * self.a + D.q * self.b, D.p * self.c + D.q * self.d)
+        return DivisorClass(*(QuadNum(v) for v in self.apply_pair(pq)))
 
     def apply_pair(self, u: tuple[int, int]) -> tuple[int, int]:
         p, q = u
@@ -261,7 +275,8 @@ class SigmaData:
 
     ray1 is the expanding eigenray (eigenvalue > 1), ray2 the contracting
     one; both are oriented so that every nef class has non-negative
-    coordinates in the (ray1, ray2) basis.
+    coordinates in the (ray1, ray2) basis.  dual = (w1, w2) is the dual
+    basis, wi . rayj = [i == j], so the eigen-coordinates of D are wi . D.
     """
 
     sigma: LatticeMap
@@ -270,6 +285,7 @@ class SigmaData:
     ray1: DivisorClass
     ray2: DivisorClass
     d: int
+    dual: tuple[DivisorClass, DivisorClass]
 
 
 def _poly_eval(coeffs, t):
@@ -422,7 +438,10 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     s1, s2 = coord_signs(r1, r2, model.nef1 + model.nef2)
     if not s1 or not s2:
         raise ValueError("ample test class lies on an eigenray; model degenerate")
-    return SigmaData(sig, lam, lam_inv, -r1 if s1 < 0 else r1, -r2 if s2 < 0 else r2, d)
+    r1, r2 = -r1 if s1 < 0 else r1, -r2 if s2 < 0 else r2
+    inv = det2(r1, r2).inverse()
+    dual = (DivisorClass(r2.q * inv, -r2.p * inv), DivisorClass(-r1.q * inv, r1.p * inv))
+    return SigmaData(sig, lam, lam_inv, r1, r2, d, dual)
 
 
 def movable_cone(s: SigmaData) -> Cone2:
@@ -430,8 +449,14 @@ def movable_cone(s: SigmaData) -> Cone2:
 
 
 def eigen_coords(D: DivisorClass, s: SigmaData) -> tuple[QuadNum, QuadNum]:
-    """Coordinates (a1, a2) of D in the eigenray basis."""
-    return cone_coords(Cone2(s.ray1, s.ray2), D)
+    """Coordinates (a1, a2) of D in the eigenray basis, the dot products of
+    the dual basis with D; a rational D takes rational dot products of the
+    rational and sqrt(d) parts of each wi."""
+    pq = _rational_pair(D)
+    if pq is None:
+        return tuple(w.p * D.p + w.q * D.q for w in s.dual)
+    p, q = pq
+    return tuple(QuadNum(w.p.a * p + w.q.a * q, w.p.b * p + w.q.b * q, s.d) for w in s.dual)
 
 
 def area_coordinate(D: DivisorClass, s: SigmaData) -> QuadNum:

@@ -16,6 +16,7 @@ from .cones import (
     SigmaData,
     area_coordinate,
     coord_signs,
+    eigen_coords,
     in_open_movable,
 )
 from .exact import QuadNum
@@ -94,18 +95,6 @@ def _resolve_direction(s: SigmaData, ray) -> DivisorClass:
     raise ValueError(f"ray must be 'r1', 'r2' or a divisor class, got {ray!r}")
 
 
-def _one_record(
-    model: CYModel, s: SigmaData, pi: Cone2, ample: DivisorClass, direction: DivisorClass, m: int
-) -> SweepRecord:
-    floored = floor_class(m, direction, ample)
-    real = DivisorClass(direction.p * m + ample.p, direction.q * m + ample.q)
-    l1 = area_coordinate(real, s)
-    if not in_open_movable(floored, s):
-        return SweepRecord(m, floored, 0, l1, 0, skipped=True)
-    h0, word = h0_movable(model, s, pi, floored)
-    return SweepRecord(m, floored, h0, l1, len(word))
-
-
 def sweep(
     model: CYModel,
     s: SigmaData,
@@ -114,13 +103,27 @@ def sweep(
     ms,
     ray="r1",
 ) -> list[SweepRecord]:
-    """One record per m along the chosen direction; skipped rows are kept."""
+    """One record per m along the chosen direction; skipped rows are kept.
+
+    The eigen-coordinates are linear, so those of m*direction + ample are
+    m*alpha + beta with alpha, beta taken once per sweep, and l1 costs one
+    product per row."""
     _check_ample(model, ample)
     ms = list(ms)
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("m values must be strictly increasing")
     direction = _resolve_direction(s, ray)
-    return [_one_record(model, s, pi, ample, direction, m) for m in ms]
+    (al1, al2), (be1, be2) = eigen_coords(direction, s), eigen_coords(ample, s)
+    records = []
+    for m in ms:
+        floored = floor_class(m, direction, ample)
+        l1 = (al1 * m + be1) * (al2 * m + be2)
+        if in_open_movable(floored, s):
+            h0, word = h0_movable(model, s, pi, floored)
+            records.append(SweepRecord(m, floored, h0, l1, len(word)))
+        else:
+            records.append(SweepRecord(m, floored, 0, l1, 0, skipped=True))
+    return records
 
 
 def estimate_exponent(records) -> FitReport:

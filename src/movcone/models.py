@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -196,16 +197,26 @@ def load_model(path) -> ModelFile:
     return parse_model_text(text, path)
 
 
-def save_model(mf: ModelFile, path) -> None:
-    """Replace path by the model text atomically, through a new file beside it."""
+@contextmanager
+def atomic_write(path):
+    """Open a new file beside path for writing.  It replaces path when the
+    block ends normally and is removed when the block raises, so a failure
+    leaves path as it was."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    fp = open(tmp, "x")
     try:
-        with open(tmp, "x") as fp:
-            fp.write(mf.to_json())
+        with fp:
+            yield fp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_model(mf: ModelFile, path) -> None:
+    """Replace path by the model text atomically, through a new file beside it."""
+    with atomic_write(path) as fp:
+        fp.write(mf.to_json())
 
 
 def data_dir() -> Path:

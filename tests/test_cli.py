@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import movcone
-from movcone import properties
+from movcone import growth, properties
 from movcone.cli import main
 from movcone.models import (
     ModelFile,
@@ -201,6 +201,37 @@ def test_unwritable_out_is_one_error_line(command, tmp_path):
     )
     assert result.exit_code == 2
     assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1, result.stderr
+
+
+def test_unwritable_out_skips_the_sweep(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(growth, "sweep", lambda *args, **kw: calls.append(args))
+    target = tmp_path / "missing" / "s.csv"
+    result = CliRunner().invoke(main, ["sweep", str(bundled_model_path("oguiso")), "--out", str(target)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot write {target}") and len(result.stderr.splitlines()) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "args", [["--ample", "0,1"], ["--mmax", "512"]], ids=["sweep-fails", "fit-fails"]
+)
+def test_failed_sweep_keeps_existing_csv(runner, tmp_path, args):
+    out = tmp_path / "sweep.csv"
+    out.write_text("old\n")
+    result = runner.invoke(main, ["sweep", str(bundled_model_path("oguiso")), "--out", str(out), *args])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_samples_below_one(runner, samples):
+    result = runner.invoke(main, ["verify", str(bundled_model_path("example41")), "--samples", samples])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: --samples must be at least 1, got {samples}\n"
 
 
 def test_sweep_rejects_non_ample(runner):

@@ -385,6 +385,41 @@ def test_cone_coords_reconstruct(ex41):
         rebuilt = mov.ray1.scale(a1) + mov.ray2.scale(a2)
         assert rebuilt == cls
 
+
+def _differential_classes(s, rng):
+    """Integral classes, Fraction-scaled ones, a Fraction p with an integral
+    q, and the irrational m*r1 + A and Fraction*r2 + r1."""
+    for _ in range(100):
+        yield D(rng.randint(-80, 80), rng.randint(-80, 80))
+        yield D(rng.randint(-80, 80), rng.randint(-80, 80)).scale(Fraction(rng.randint(-99, 99), rng.randint(1, 9)))
+        yield DivisorClass(QuadNum(Fraction(rng.randint(-99, 99), rng.randint(1, 9))), QuadNum(rng.randint(-9, 9)))
+        yield s.ray1.scale(rng.randint(1, 1 << 40)) + D(rng.randint(-9, 9), rng.randint(-9, 9))
+        yield s.ray2.scale(Fraction(rng.randint(1, 99), rng.randint(1, 9))) + s.ray1
+
+
+@pytest.mark.parametrize("dyn", ["ex41", "oguiso", "synthetic"])
+def test_eigen_coords_match_cone_coords(dyn, request):
+    s = request.getfixturevalue(dyn).sigma
+    mov = movable_cone(s)
+    assert eigen_coords(s.ray1, s) == (QuadNum(1), QuadNum(0))
+    assert eigen_coords(s.ray2, s) == (QuadNum(0), QuadNum(1))
+    for cls in _differential_classes(s, random.Random(53)):
+        assert eigen_coords(cls, s) == cone_coords(mov, cls), cls
+
+
+@pytest.mark.parametrize("dyn", ["ex41", "oguiso", "synthetic"])
+def test_lattice_map_apply_matches_quadnum_formula(dyn, request):
+    dyn = request.getfixturevalue(dyn)
+    maps = [dyn.model.sigma, dyn.model.sigma.inverse(), dyn.model.sigma.pow(3)]
+    if dyn.model.has_involutions:
+        maps += [dyn.model.tau1, dyn.model.tau2]
+    for cls in _differential_classes(dyn.sigma, random.Random(59)):
+        for t in maps:
+            img = t.apply(cls)
+            assert img == DivisorClass(cls.p * t.a + cls.q * t.b, cls.p * t.c + cls.q * t.d), cls
+            assert isinstance(img.p, QuadNum) and isinstance(img.q, QuadNum)
+
+
 def test_in_open_movable(ex41):
     s = ex41.sigma
     assert in_open_movable(D(1, 1), s)

@@ -9,9 +9,11 @@ from movcone import (
     DivisorClass,
     QuadNum,
     chi_nef,
+    cone_coords,
     estimate_exponent,
     floor_class,
     geometric_grid,
+    movable_cone,
     rounddown_check,
     sweep,
     write_csv,
@@ -62,6 +64,19 @@ def test_sweep_deterministic(ex41):
     a = sweep(ex41.model, ex41.sigma, ex41.pi, A55, ms)
     b = sweep(ex41.model, ex41.sigma, ex41.pi, A55, ms)
     assert a == b
+
+
+@pytest.mark.parametrize("dyn", ["ex41", "oguiso"])
+@pytest.mark.parametrize("ray", ["r1", "r2", D(1, 0)], ids=["r1", "r2", "dir1,0"])
+def test_sweep_l1_is_area_of_real_class(dyn, ray, request):
+    dyn = request.getfixturevalue(dyn)
+    s = dyn.sigma
+    direction = {"r1": s.ray1, "r2": s.ray2}.get(ray, ray)
+    mov = movable_cone(s)
+    recs = sweep(dyn.model, s, dyn.pi, A55, geometric_grid(), ray=ray)
+    for r in recs:
+        a1, a2 = cone_coords(mov, direction.scale(r.m) + A55)
+        assert r.l1 == a1 * a2, r.m
 
 
 def test_sweep_consistent_with_chi_chain(ex41):
