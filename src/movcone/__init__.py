@@ -26,6 +26,7 @@ from .cones import (
     fundamental_domain,
     in_open_movable,
     movable_cone,
+    nef_problems,
     reduce_to_domain,
     sigma_problems,
     slope_coordinate,

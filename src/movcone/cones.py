@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 from .exact import QuadNum, squarefree_decompose
@@ -24,8 +23,6 @@ from .exact import QuadNum, squarefree_decompose
 SIGMA = "sigma"
 SIGMA_INV = "sigma_inv"
 TAU2 = "tau2"
-
-_MAX_DOMAIN_SHIFT = 64
 
 
 @dataclass(frozen=True)
@@ -329,23 +326,13 @@ def _cubic_positive_on_nef(model: CYModel) -> bool:
     if _poly_eval(f, Fraction(0)) < 0 or _poly_eval(f, Fraction(1)) < 0:
         return False
     A, B, C = 3 * f[3], 2 * f[2], f[1]
-    roots: list = []
-    if A == 0:
-        if B != 0:
-            roots.append(-C / B)
-    else:
-        disc = B * B - 4 * A * C
-        if disc > 0:
-            num, den = disc.numerator * disc.denominator, disc.denominator
-            k, dd = squarefree_decompose(num)
-            if dd == 1:
-                r = Fraction(k, den)
-                roots.extend([(-B + r) / (2 * A), (-B - r) / (2 * A)])
-            else:
-                half = QuadNum(Fraction(-B) / (2 * A), Fraction(k, den) / (2 * A), dd)
-                roots.extend([half, QuadNum(Fraction(-B) / (2 * A), -Fraction(k, den) / (2 * A), dd)])
-    for r in roots:
-        t = r if isinstance(r, QuadNum) else QuadNum(r)
+    roots = [QuadNum(-C / B)] if A == 0 and B else []
+    disc = B * B - 4 * A * C
+    if A and disc > 0:
+        # sqrt(disc) = sqrt(n) / den; QuadNum folds a square n into a rational
+        n, half = disc.numerator * disc.denominator, 1 / (2 * A * disc.denominator)
+        roots = [QuadNum(-B / (2 * A), half, n), QuadNum(-B / (2 * A), -half, n)]
+    for t in roots:
         if t.compare(0) > 0 and t.compare(1) < 0:
             val = _poly_eval([QuadNum(c) for c in f], t)
             if val.compare(0) <= 0:
@@ -364,6 +351,30 @@ def sigma_problems(sig: LatticeMap) -> list[str]:
         problems.append(f"sigma: |trace| = {abs(tr)} <= 2, the action has finite order")
     elif tr < 0:
         problems.append("sigma: trace must be positive, negative eigenvalues do not preserve the cone")
+    return problems
+
+
+def _same_open_cone(u, su, w, sw) -> bool:
+    """Whether the integer pair w lies in the open eigen-cone of sigma that
+    holds u, given su = sigma u and sw = sigma w.  In eigen-coordinates
+    det2(x, sigma x) = c*a1*a2 and det2(w, sigma u) + det2(u, sigma w) =
+    c*(a1*b2 + a2*b1) for one constant c, so both carry the sign of
+    det2(u, sigma u) exactly when w's coordinates have the signs of u's."""
+    o = _sign(det2(u, su))
+    return min(o * det2(w, sw), o * (det2(w, su) + det2(u, sw))) > 0
+
+
+def nef_problems(model: CYModel) -> list[str]:
+    """Nef generators outside the open movable cone of sigma, the eigen-cone
+    that holds nef1 + nef2 (empty list = the nef cone lies inside it)."""
+    sig = model.sigma
+    u = (model.nef1 + model.nef2).integer_coords()
+    su = sig.apply_pair(u)
+    problems: list[str] = []
+    for label, g in (("nef1", model.nef1), ("nef2", model.nef2)):
+        w = g.integer_coords()
+        if not _same_open_cone(u, su, w, sig.apply_pair(w)):
+            problems.append(f"{label}: nef generator lies outside the open movable cone of sigma")
     return problems
 
 
@@ -394,7 +405,7 @@ def validate_model(model: CYModel) -> list[str]:
     except ValueError as exc:
         issues.append(str(exc))
         return issues
-    issues.extend(sigma_problems(sig))
+    issues.extend(sigma_problems(sig) or (nef_problems(model) if gens_ok else []))
 
     if gens_ok:
         if not _cubic_positive_on_nef(model):
@@ -486,49 +497,34 @@ def primitive(D: DivisorClass) -> DivisorClass:
     return DivisorClass.from_ints(p, q)
 
 
-def _order_by_slope(c: Cone2, sig: LatticeMap) -> Cone2:
-    """The cone with its rays in increasing slope a1/a2.  sigma scales a1/a2 by
-    eigenvalue^2 > 1, so for integral u, w of the open movable cone,
-    sign det2(u, sigma u) * det2(u, w) > 0 says slope(u) < slope(w)."""
-    u, w = c.ray1.integer_coords(), c.ray2.integer_coords()
-    return c if _sign(det2(u, sig.apply_pair(u))) * det2(u, w) > 0 else Cone2(c.ray2, c.ray1)
-
-
 def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
-    """Rational polyhedral fundamental domain containing the nef cone.
+    """Rational polyhedral fundamental domain containing the nef cone, with
+    its rays in increasing slope a1/a2 and primitive.
 
-    With involutions: the cone on z1 = x + tau1(x) and z2 = z1 + sigma(z1),
-    shifted by a power of sigma and/or swapped with its tau2-mirror until it
-    contains the nef cone.  Without involutions: the cone on a nef boundary
-    class and its image under sigma (or its inverse).
+    With involutions it is the nef cone (nef1, nef2): tau2 maps it onto its
+    mirror across nef2, and sigma nef1 = tau2 tau1 nef1 = tau2 nef1, so the
+    two span one sigma window.  Without involutions it is (nef1, sigma nef1)
+    when nef2 lies above nef1 in slope, (sigma^-1 nef1, nef1) when below.
+    Both need the nef cone inside the movable cone (nef_problems).
     """
     if not (x.is_integral and coord_signs(model.nef1, model.nef2, x) == (1, 1)):
         raise ValueError("x must be an integral class interior to the nef cone (ample)")
     sig = model.sigma
-    problems = sigma_problems(sig)
+    problems = sigma_problems(sig) or nef_problems(model)
     if problems:
         raise ValueError(problems[0])
-
-    if not model.has_involutions:
-        for x0 in (model.nef1, model.nef2):
-            for mat in (sig, sig.inverse()):
-                cand = Cone2(primitive(x0), primitive(mat.apply(x0)))
-                if cone_contains(cand, model.nef1) and cone_contains(cand, model.nef2):
-                    return _order_by_slope(cand, sig)
+    g1, g2 = primitive(model.nef1), primitive(model.nef2)
+    if model.has_involutions:
+        return Cone2(g1, g2)
+    # o * det2(u, w) > 0 says slope(u) < slope(w): sigma scales a1/a2 by lambda^2 > 1
+    w = g1.integer_coords()
+    if _sign(det2(w, sig.apply_pair(w))) * det2(w, g2.integer_coords()) > 0:
+        pi = Cone2(g1, primitive(sig.apply(g1)))
+    else:
+        pi = Cone2(primitive(sig.inverse().apply(g1)), g1)
+    if not cone_contains(pi, g2):
         raise ValueError("sigma does not move the nef cone off itself; model invalid")
-
-    z1 = x + model.tau1.apply(x)
-    z2 = z1 + sig.apply(z1)
-    base = (primitive(z1), primitive(z2))
-    mirror = (primitive(model.tau2.apply(base[0])), primitive(model.tau2.apply(base[1])))
-    for k in range(_MAX_DOMAIN_SHIFT + 1):
-        for n in ((0,) if k == 0 else (k, -k)):
-            power = sig.pow(n)
-            for rays in (base, mirror):
-                cand = Cone2(primitive(power.apply(rays[0])), primitive(power.apply(rays[1])))
-                if cone_contains(cand, model.nef1) and cone_contains(cand, model.nef2):
-                    return _order_by_slope(cand, sig)
-    raise ValueError("fundamental domain alignment with the nef cone did not terminate")
+    return pi
 
 
 @dataclass(frozen=True)
@@ -559,8 +555,9 @@ def reduce_to_domain(
     already in the closed domain take the empty word (first match in pi
     wins); classes in its tau2 mirror cross back with one involution.
     Otherwise D steps by sigma or sigma_inv, one letter a step, until its
-    slope lies in [lo, sigma lo) for the lowest ray lo of pi and its mirror,
-    then crosses tau2 at most once.  Every test is an integer det2 sign.
+    slope lies in [lo, hi) for lo = pi.ray1 and hi = sigma lo, then crosses
+    tau2 at most once.  hi must be the window's top: pi.ray2, or tau2 pi.ray1
+    with the mirror.  Every test is an integer det2 sign.
     """
     if not D.is_integral:
         raise ValueError("only integral classes are reduced")
@@ -569,17 +566,15 @@ def reduce_to_domain(
 
     sig = model.sigma
     v, sv = D.integer_coords(), sig.apply_pair(D.integer_coords())
-    o = _sign(det2(v, sv))  # o * det2(u, w) > 0 says slope(u) < slope(w); see _order_by_slope
-    pieces = [(pi.ray1.integer_coords(), pi.ray2.integer_coords())]
+    o = _sign(det2(v, sv))  # o * det2(u, w) > 0 says slope(u) < slope(w)
+    lo, top = pi.ray1.integer_coords(), pi.ray2.integer_coords()
+    pieces = [(lo, top)]
     if model.has_involutions:
-        pieces.append(tuple(model.tau2.apply_pair(r) for r in pieces[0]))
-    by_slope = cmp_to_key(lambda u, w: -o * det2(u, w))
-    rays = [r for piece in pieces for r in piece]
-    lo, top = min(rays, key=by_slope), max(rays, key=by_slope)
+        pieces.append((model.tau2.apply_pair(lo), model.tau2.apply_pair(top)))
+        top = pieces[1][0]
     hi = sig.apply_pair(lo)
-    # the stepping ends only if lo lies in D's open cone: in eigen-coordinates det2(u, sigma u)
-    # = c*a1*a2 and det2(u, sigma v) + det2(v, sigma u) = c*(a1*b2 + a2*b1), c of sign o
-    if det2(hi, top) or min(o * det2(lo, hi), o * (det2(lo, sv) + det2(v, hi))) <= 0:
+    # the stepping ends only if lo lies in D's open cone
+    if det2(hi, top) or not _same_open_cone(v, sv, lo, hi):
         raise ValueError("domain pieces do not tile a full sigma window")
 
     def inside(piece, w) -> bool:

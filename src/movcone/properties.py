@@ -52,21 +52,21 @@ def slope_scaling(dyn: Dynamics, rng: Random, count: int) -> str | None:
 def wall_crossing_sandwich(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """tau2 moves the area of a rational class of the domain by less than a
     factor lambda either way.  Needs the involutions."""
-    s, pi, lam = dyn.sigma, dyn.pi, dyn.sigma.eigenvalue
+    s, pi = dyn.sigma, dyn.pi
     for _ in range(count):
         d1 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
         d2 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
         D = pi.ray1.scale(d1) + pi.ray2.scale(d2)
         val, ref = area_coordinate(dyn.model.tau2.apply(D), s), area_coordinate(D, s)
-        if not (val.compare(ref / lam) > 0 and val.compare(ref * lam) < 0):
+        if not (val.compare(ref * s.eigenvalue_inv) > 0 and val.compare(ref * s.eigenvalue) < 0):
             return f"wall-crossing area sandwich violated for {D}"
     return None
 
 
 def section_count_word_invariance(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """h0 is unchanged along words of 1 to 6 letters sigma, sigma^-1, tau1,
-    tau2.  Needs the involutions; raises ChamberCoveringError where the
-    fundamental domain is not the nef cone."""
+    tau2.  Needs the involutions, which make the nef cone the fundamental
+    domain."""
     model, s, pi = dyn.model, dyn.sigma, dyn.pi
     letters = [model.sigma, model.sigma.inverse(), model.tau1, model.tau2]
     for _ in range(count):

@@ -295,9 +295,16 @@ def test_class_parse_error(runner):
     assert result.exit_code == 3
 
 
+# example41 with involutions that fix H1 and H2 but turn the movable cone away
+# from the nef cone; sigma keeps lambda = 23 + 4*sqrt(33)
+_REVERSED = (("tau1", "tau2"), ([1, -6, 0, -1], [-1, 0, -8, 1]))
+
+
 def _mutated(tmp_path, name, field, value):
+    """A bundled model with field set to value, or each field of a tuple to
+    the matching entry of value."""
     doc = json.loads(bundled_model_path(name).read_text())
-    doc[field] = value
+    doc.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
     path = tmp_path / "mutated.model"
     path.write_text(json.dumps(doc))
     return path
@@ -319,6 +326,7 @@ def _mutated(tmp_path, name, field, value):
         ("example41", "c2form", [True, 56], 3),
         ("oguiso", "ci", {"dims": [3, True], "degrees": [[1, 1], [1, 1], [2, 2]]}, 3),
         ("oguiso", "ci", {"dims": [3, 3], "degrees": [[1, 1], [1, True], [2, 2]]}, 3),
+        pytest.param("example41", *_REVERSED, 2, id="example41-reversed-involutions-2"),
     ],
 )
 @pytest.mark.parametrize("command", ["h0", "reduce", "sweep"])
@@ -330,6 +338,15 @@ def test_invalid_model_exits_with_one_error_line(runner, tmp_path, name, field, 
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ")
+
+
+def test_verify_rejects_involutions_reversing_the_cone(runner, tmp_path):
+    result = invoke(runner, "verify", str(_mutated(tmp_path, "example41", *_REVERSED)))
+    assert result.exit_code == 2
+    assert result.stdout == (
+        "FAIL model-invariants: nef1: nef generator lies outside the open movable cone of sigma\n"
+        "FAIL model-invariants: nef2: nef generator lies outside the open movable cone of sigma\n"
+    )
 
 
 _MUTABLE = {"triform": 4, "c2form": 2, "tau1": 4, "tau2": 4, "sigma": 4}

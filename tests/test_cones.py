@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -104,6 +107,17 @@ def test_validate_cubic_positivity():
         "bad", TriForm(1, -50, -50, 1), C2Form(0, 0), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
     )
     assert any("not positive" in v for v in validate_model(bad))
+    # on (1 - t, t) these cubics have a quadratic derivative with a critical
+    # point in (0, 1): rational at t = 1/3, irrational at 1 - 1/sqrt(3) and
+    # sqrt(2) - 1; the value there is negative for the first of each pair
+    for form, positive in (
+        ((1, -2, 1, 1), False),
+        ((1, 0, 1, 1), True),
+        ((1, -1, 0, 1), False),
+        ((1, 0, 0, 2), True),
+    ):
+        m = CYModel("m", TriForm(*form), C2Form(0, 0), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1))
+        assert any("not positive" in v for v in validate_model(m)) != positive, form
 
 
 def test_validate_negative_c2():
@@ -216,6 +230,91 @@ def test_fundamental_domain_sigma_only(synthetic):
     assert cone_contains(pi, D(1, 0)) and cone_contains(pi, D(0, 1))
     assert pi.ray1 == D(1, 0)
     assert pi.ray2 == D(-1, 4)
+
+
+_NORMAL_FORM = [
+    (b, c) for b in (-6, -5, -1, 1, 2, 5, 6) for c in (-8, -6, -5, -1, 1, 3, 5, 8) if b * c > 4
+]
+
+
+@pytest.mark.parametrize("b, c", _NORMAL_FORM)
+def test_validation_decides_the_domain_with_involutions(b, c):
+    # tau1 = [1, b, 0, -1] and tau2 = [-1, 0, c, 1] are the involutions of
+    # determinant -1 fixing H1 and H2; sigma has trace b*c - 2 > 2.  With
+    # b, c < 0 the nef cone lies outside the movable cone; when b or c is -1,
+    # as in (-1, -5) and (-6, -1), only the polar half of the test rejects it
+    m = CYModel("nf", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, b, 0, -1), LatticeMap(-1, 0, c, 1))
+    issues = validate_model(m)
+    assert (issues == []) == (b > 0 and c > 0), issues
+    if issues:
+        assert all("outside the open movable cone" in v for v in issues), issues
+        with pytest.raises(ValueError, match="outside the open movable cone"):
+            fundamental_domain(m, D(1, 1))
+        return
+    for x in ((1, 1), (2, 1), (1, 3), (5, 7)):
+        assert fundamental_domain(m, D(*x)) == Cone2(D(1, 0), D(0, 1))
+    s, pi = eigen_sigma(m), fundamental_domain(m, D(1, 1))
+    for k in (-3, 0, 1, 4):
+        for base in ((3, 2), (1, 0), (0, 1)):
+            assert reduce_to_domain(m, s, pi, m.sigma.pow(k).apply(D(*base)))[1] == D(*base)
+
+
+def _search_domain(m, s):
+    """The domain by search: the first of the cones (g, sigma^+-1 g), g a nef
+    generator, that holds both generators, with rays in increasing QuadNum
+    slope; None if there is none."""
+    for g in (m.nef1, m.nef2):
+        for t in (m.sigma, m.sigma.inverse()):
+            cand = Cone2(g, t.apply(g))
+            if cone_contains(cand, m.nef1) and cone_contains(cand, m.nef2):
+                if slope_coordinate(cand.ray1, s) > slope_coordinate(cand.ray2, s):
+                    cand = Cone2(cand.ray2, cand.ray1)
+                return cand
+    return None
+
+
+@pytest.mark.parametrize(
+    "nef2, counts",
+    [
+        ((0, 1), {"outside": 32, "domain": 4}),
+        ((-1, 4), {"outside": 32, "wider than a window": 4}),
+        ((1, 2), {"outside": 28, "domain": 8}),
+    ],
+    ids=["nef2=0,1", "nef2=-1,4", "nef2=1,2"],
+)
+def test_validation_decides_the_domain_sigma_only(nef2, counts):
+    # with nef2 = (0, 1) no sigma of determinant 1 takes nef1 strictly inside
+    # the nef cone, so only a wider nef cone can hold more than a window
+    seen = collections.Counter()
+    for flat in itertools.product(range(-4, 5), repeat=4):
+        if flat[0] * flat[3] - flat[1] * flat[2] != 1 or flat[0] + flat[3] <= 2:
+            continue
+        m = dataclasses.replace(_sigma_model(LatticeMap(*flat)), nef2=D(*nef2))
+        s = eigen_sigma(m)
+        inside = all(a.compare(0) > 0 for g in (m.nef1, m.nef2) for a in eigen_coords(g, s))
+        issues = validate_model(m)
+        assert (issues == []) == inside, (flat, issues)
+        ref = _search_domain(m, s) if inside else None
+        seen["outside" if not inside else "wider than a window" if ref is None else "domain"] += 1
+        for a, b in ((1, 1), (2, 1), (1, 3), (5, 7)):
+            x = m.nef1.scale(a) + m.nef2.scale(b)
+            if ref is None:
+                problem = "off itself" if inside else "outside the open movable cone"
+                with pytest.raises(ValueError, match=problem):
+                    fundamental_domain(m, x)
+            else:
+                assert fundamental_domain(m, x) == ref, flat
+    assert seen == counts
+
+
+@pytest.mark.parametrize("dyn", ["ex41", "synthetic"])
+def test_reduce_rejects_domain_in_reverse_slope_order(dyn, request):
+    dyn = request.getfixturevalue(dyn)
+    reverse = Cone2(dyn.pi.ray2, dyn.pi.ray1)
+    for base in ((3, 2), (1, 0), (40, 1)):
+        cls = dyn.model.sigma.pow(3).apply(D(*base))
+        with pytest.raises(ValueError, match="do not tile"):
+            reduce_to_domain(dyn.model, dyn.sigma, reverse, cls)
 
 
 def test_cone_membership_examples(ex41):
