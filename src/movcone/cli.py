@@ -49,7 +49,20 @@ def _parse_class(text: str) -> DivisorClass:
     return DivisorClass.from_ints(p, q)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a usage error as one error line with the parse-error code."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.UsageError as exc:
+            _fail(EXIT_PARSE, exc.format_message())
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Group, no_args_is_help=False)
 def main():
     """Exact cone dynamics and section-count growth for rank-2 models."""
 
@@ -86,23 +99,13 @@ def verify(model_file: str, samples: int, seed: int):
         sys.exit(EXIT_VALIDATION)
     report("model-invariants", None)
 
-    try:
-        s = eigen_sigma(model)
-        click.echo(f"lambda = {s.eigenvalue}")
-        report("eigen-analysis", None)
-    except ValueError as exc:
-        report("eigen-analysis", str(exc))
-        sys.exit(EXIT_VALIDATION)
-
-    try:
-        pi = fundamental_domain(model, model.nef1 + model.nef2)
-        report("fundamental-domain", None)
-    except ValueError as exc:
-        pi = None
-        report("fundamental-domain", str(exc))
+    s = eigen_sigma(model)
+    click.echo(f"lambda = {s.eigenvalue}")
+    report("eigen-analysis", None)
+    dyn = Dynamics(model, s, fundamental_domain(model, model.nef1 + model.nef2))
+    report("fundamental-domain", None)
 
     rng = random.Random(seed)
-    dyn = Dynamics(model, s, pi)
     suites = (
         ("area-invariance", properties.area_invariance, samples, False),
         ("slope-scaling", properties.slope_scaling, samples, False),

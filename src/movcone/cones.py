@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from typing import ClassVar
 
 from .exact import QuadNum, squarefree_decompose
 
@@ -233,8 +233,9 @@ def cone_contains(cone: Cone2, D: DivisorClass) -> bool:
 class CYModel:
     """Intersection data plus the lattice action of the birational group.
 
-    tau1 fixes the nef ray nef1, tau2 fixes nef2.  Models without birational
-    involutions carry sigma directly (tau1 = tau2 = None).
+    The nef cone is spanned by the basis classes nef1 = H1 and nef2 = H2;
+    tau1 fixes nef1, tau2 fixes nef2.  Models without birational involutions
+    carry sigma directly (tau1 = tau2 = None).
     """
 
     name: str
@@ -243,8 +244,8 @@ class CYModel:
     tau1: LatticeMap | None
     tau2: LatticeMap | None
     sigma_direct: LatticeMap | None = None
-    nef1: DivisorClass = DivisorClass(QuadNum(1), QuadNum(0))
-    nef2: DivisorClass = DivisorClass(QuadNum(0), QuadNum(1))
+    nef1: ClassVar[DivisorClass] = DivisorClass(QuadNum(1), QuadNum(0))
+    nef2: ClassVar[DivisorClass] = DivisorClass(QuadNum(0), QuadNum(1))
 
     @property
     def has_involutions(self) -> bool:
@@ -285,45 +286,24 @@ class SigmaData:
     dual: tuple[DivisorClass, DivisorClass]
 
 
-def _poly_eval(coeffs, t):
-    acc = None
-    for c in reversed(coeffs):
-        acc = c if acc is None else acc * t + c
-    return acc
-
-
 def _cubic_positive_on_nef(model: CYModel) -> bool:
     """Exact positivity of D^3 on nef classes with positive coordinates.
 
-    Restricts the cubic to the segment (1-t)*g1 + t*g2 and checks the
-    endpoints plus every interior critical point; quadratic-irrational
-    critical points are evaluated exactly in their own field.
+    Restricts the cubic to the segment (1-t)*H1 + t*H2, where it is the
+    polynomial f below, and checks the endpoints plus every interior
+    critical point; quadratic-irrational critical points are evaluated
+    exactly in their own field.
     """
-    g1p, g1q = model.nef1.integer_coords()
-    g2p, g2q = model.nef2.integer_coords()
-    P = (Fraction(g1p), Fraction(g2p - g1p))
-    Q = (Fraction(g1q), Fraction(g2q - g1q))
-
-    def pmul(u, v):
-        out = [Fraction(0)] * (len(u) + len(v) - 1)
-        for i, x in enumerate(u):
-            for j, y in enumerate(v):
-                out[i + j] += x * y
-        return out
-
-    P2, Q2 = pmul(P, P), pmul(Q, Q)
-    f = [Fraction(0)] * 4
-    for coeff, poly in (
-        (model.triform.t111, pmul(P2, P)),
-        (3 * model.triform.t112, pmul(P2, Q)),
-        (3 * model.triform.t122, pmul(P, Q2)),
-        (model.triform.t222, pmul(Q2, Q)),
-    ):
-        for i, v in enumerate(poly):
-            f[i] += coeff * v
+    t111, t112, t122, t222 = model.triform.as_tuple()
+    f = [
+        Fraction(t111),
+        Fraction(3 * (t112 - t111)),
+        Fraction(3 * (t111 - 2 * t112 + t122)),
+        Fraction(3 * (t112 - t122) + t222 - t111),
+    ]
     if not any(f):
         return False
-    if _poly_eval(f, Fraction(0)) < 0 or _poly_eval(f, Fraction(1)) < 0:
+    if t111 < 0 or t222 < 0:
         return False
     A, B, C = 3 * f[3], 2 * f[2], f[1]
     roots = [QuadNum(-C / B)] if A == 0 and B else []
@@ -334,8 +314,7 @@ def _cubic_positive_on_nef(model: CYModel) -> bool:
         roots = [QuadNum(-B / (2 * A), half, n), QuadNum(-B / (2 * A), -half, n)]
     for t in roots:
         if t.compare(0) > 0 and t.compare(1) < 0:
-            val = _poly_eval([QuadNum(c) for c in f], t)
-            if val.compare(0) <= 0:
+            if (((t * f[3] + f[2]) * t + f[1]) * t + f[0]).compare(0) <= 0:
                 return False
     return True
 
@@ -381,15 +360,6 @@ def nef_problems(model: CYModel) -> list[str]:
 def validate_model(model: CYModel) -> list[str]:
     """Check every model invariant; returns a list of violations (empty = ok)."""
     issues: list[str] = []
-    gens_ok = True
-    for label, g in (("nef1", model.nef1), ("nef2", model.nef2)):
-        if not g.is_integral:
-            issues.append(f"{label}: nef generator must be integral")
-            gens_ok = False
-    if gens_ok and not det2(model.nef1, model.nef2):
-        issues.append("nef generators are proportional")
-        gens_ok = False
-
     if model.has_involutions:
         ident = LatticeMap.identity()
         pairs = (("tau1", model.tau1, model.nef1), ("tau2", model.tau2, model.nef2))
@@ -398,28 +368,25 @@ def validate_model(model: CYModel) -> list[str]:
                 issues.append(f"{label}: determinant must be -1, got {t.det()}")
             if t @ t != ident:
                 issues.append(f"{label}: squared map is not the identity")
-            if gens_ok and t.apply(g) != g:
+            if t.apply(g) != g:
                 issues.append(f"{label}: does not fix its nef boundary ray")
     try:
         sig = model.sigma
     except ValueError as exc:
         issues.append(str(exc))
         return issues
-    issues.extend(sigma_problems(sig) or (nef_problems(model) if gens_ok else []))
+    issues.extend(sigma_problems(sig) or nef_problems(model))
 
-    if gens_ok:
-        if not _cubic_positive_on_nef(model):
-            issues.append("triple form: D^3 is not positive on the open nef cone")
-        for label, g in (("nef1", model.nef1), ("nef2", model.nef2)):
-            p, q = g.integer_coords()
-            if model.c2form.pair(p, q) < 0:
-                issues.append(f"c2 form: negative against nef generator {label}")
-        (g1p, g1q), (g2p, g2q) = model.nef1.integer_coords(), model.nef2.integer_coords()
-        for a in range(4):
-            for b in range(4):
-                chi = model.chi(a * g1p + b * g2p, a * g1q + b * g2q)
-                if chi.denominator != 1:
-                    issues.append(f"chi integrality fails at {a}*nef1 + {b}*nef2 (chi = {chi})")
+    if not _cubic_positive_on_nef(model):
+        issues.append("triple form: D^3 is not positive on the open nef cone")
+    for label, c2 in (("nef1", model.c2form.h1), ("nef2", model.c2form.h2)):
+        if c2 < 0:
+            issues.append(f"c2 form: negative against nef generator {label}")
+    for a in range(4):
+        for b in range(4):
+            chi = model.chi(a, b)
+            if chi.denominator != 1:
+                issues.append(f"chi integrality fails at {a}*nef1 + {b}*nef2 (chi = {chi})")
     return issues
 
 
@@ -430,6 +397,7 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     second row of sigma - ev; either ray is sign-flipped if needed so the
     ample test class nef1 + nef2 has positive coordinates in the eigenbasis
     (the movable cone is then exactly the non-negative span of the two rays).
+    Both rays are irrational, so the rational class lies on neither.
     """
     sig = model.sigma
     problems = sigma_problems(sig)
@@ -447,8 +415,6 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     r1 = DivisorClass(QuadNum(p0, Fraction(k, 2 * sig.c), d), QuadNum(1))
     r2 = DivisorClass(QuadNum(p0, Fraction(-k, 2 * sig.c), d), QuadNum(1))
     s1, s2 = coord_signs(r1, r2, model.nef1 + model.nef2)
-    if not s1 or not s2:
-        raise ValueError("ample test class lies on an eigenray; model degenerate")
     r1, r2 = -r1 if s1 < 0 else r1, -r2 if s2 < 0 else r2
     inv = det2(r1, r2).inverse()
     dual = (DivisorClass(r2.q * inv, -r2.p * inv), DivisorClass(-r1.q * inv, r1.p * inv))
@@ -488,43 +454,33 @@ def in_open_movable(D: DivisorClass, s: SigmaData) -> bool:
     return coord_signs(s.ray1, s.ray2, D) == (1, 1)
 
 
-def primitive(D: DivisorClass) -> DivisorClass:
-    """The primitive integral class on the ray of the integral class D."""
-    p, q = D.integer_coords()
-    g = gcd(abs(p), abs(q))
-    if g > 1:
-        p, q = p // g, q // g
-    return DivisorClass.from_ints(p, q)
-
-
 def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
     """Rational polyhedral fundamental domain containing the nef cone, with
     its rays in increasing slope a1/a2 and primitive.
 
-    With involutions it is the nef cone (nef1, nef2): tau2 maps it onto its
-    mirror across nef2, and sigma nef1 = tau2 tau1 nef1 = tau2 nef1, so the
-    two span one sigma window.  Without involutions it is (nef1, sigma nef1)
-    when nef2 lies above nef1 in slope, (sigma^-1 nef1, nef1) when below.
-    Both need the nef cone inside the movable cone (nef_problems).
+    With involutions it is the nef cone (H1, H2): tau2 maps it onto its
+    mirror across H2, and sigma H1 = tau2 tau1 H1 = tau2 H1, so the two span
+    one sigma window.  Without involutions it is (H1, sigma H1) when H2 lies
+    above H1 in slope, (sigma^-1 H1, H1) when below; sigma is unimodular, so
+    these rays are primitive.  Both need the nef cone inside the movable cone
+    (nef_problems), and then the window holds H2.  Take o > 0: if sigma H1 =
+    (a, c) lay strictly inside the quadrant, sigma H2 = (b, d) would lie past
+    H2, so a, c > 0 > b.  Then ad = 1 + bc <= 0 puts sigma H2 in the closed
+    third quadrant, and no pointed movable cone holding H1 and H2 holds it.
+    o < 0 is the same argument with sigma^-1.
     """
-    if not (x.is_integral and coord_signs(model.nef1, model.nef2, x) == (1, 1)):
+    if not (x.is_integral and min(x.integer_coords()) > 0):
         raise ValueError("x must be an integral class interior to the nef cone (ample)")
     sig = model.sigma
     problems = sigma_problems(sig) or nef_problems(model)
     if problems:
         raise ValueError(problems[0])
-    g1, g2 = primitive(model.nef1), primitive(model.nef2)
     if model.has_involutions:
-        return Cone2(g1, g2)
-    # o * det2(u, w) > 0 says slope(u) < slope(w): sigma scales a1/a2 by lambda^2 > 1
-    w = g1.integer_coords()
-    if _sign(det2(w, sig.apply_pair(w))) * det2(w, g2.integer_coords()) > 0:
-        pi = Cone2(g1, primitive(sig.apply(g1)))
-    else:
-        pi = Cone2(primitive(sig.inverse().apply(g1)), g1)
-    if not cone_contains(pi, g2):
-        raise ValueError("sigma does not move the nef cone off itself; model invalid")
-    return pi
+        return model.nef_cone()
+    # o = sign det2(H1, sigma H1) = sign c, and o > 0 says H2 lies above H1
+    if sig.c > 0:
+        return Cone2(model.nef1, sig.apply(model.nef1))
+    return Cone2(sig.inverse().apply(model.nef1), model.nef1)
 
 
 @dataclass(frozen=True)

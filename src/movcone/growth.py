@@ -15,7 +15,6 @@ from .cones import (
     DivisorClass,
     SigmaData,
     area_coordinate,
-    coord_signs,
     eigen_coords,
     in_open_movable,
 )
@@ -77,9 +76,9 @@ def geometric_grid(mmin: int = 256, mmax: int = 1 << 20, factor: int = 2) -> lis
     return ms
 
 
-def _check_ample(model: CYModel, ample: DivisorClass) -> None:
+def _check_ample(ample: DivisorClass) -> None:
     p, q = ample.integer_coords()
-    if coord_signs(model.nef1, model.nef2, ample) != (1, 1):
+    if min(p, q) <= 0:
         raise ValueError(f"{ample} is not ample (not interior to the nef cone)")
     if p < 2 or q < 2:
         raise ValueError(f"ample shift needs coordinates >= 2 in the (H1, H2) basis, got ({p},{q})")
@@ -108,7 +107,7 @@ def sweep(
     The eigen-coordinates are linear, so those of m*direction + ample are
     m*alpha + beta with alpha, beta taken once per sweep, and l1 costs one
     product per row."""
-    _check_ample(model, ample)
+    _check_ample(ample)
     ms = list(ms)
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("m values must be strictly increasing")
@@ -160,7 +159,7 @@ def rounddown_check(model: CYModel, s: SigmaData, samples) -> RounddownReport:
     round-down; raises if the band is non-positive or wider than 10^3."""
     ratios: list[QuadNum] = []
     for D, ample in samples:
-        _check_ample(model, ample)
+        _check_ample(ample)
         floored = DivisorClass.from_ints(
             D.p.floor() + ample.integer_coords()[0],
             D.q.floor() + ample.integer_coords()[1],

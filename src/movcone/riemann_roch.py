@@ -10,7 +10,6 @@ from .cones import (
     DivisorClass,
     SigmaData,
     cone_contains,
-    primitive,
     reduce_to_domain,
 )
 
@@ -42,10 +41,10 @@ def h0_movable(
     Reduces D into the fundamental domain (a composition of birational
     pullbacks, so the count is preserved) and evaluates chi there.  Only
     models whose fundamental domain equals the nef cone are supported; the
-    rays of a domain from fundamental_domain are primitive, so that is a
-    comparison of integral classes.
+    rays of a domain from fundamental_domain are primitive, as H1 and H2 are,
+    so that is a comparison with nef1 and nef2.
     """
-    if {pi.ray1, pi.ray2} != {primitive(model.nef1), primitive(model.nef2)}:
+    if {pi.ray1, pi.ray2} != {model.nef1, model.nef2}:
         raise ChamberCoveringError(
             "chamber covering not implemented: fundamental domain is not the nef cone"
         )

@@ -295,6 +295,39 @@ def test_class_parse_error(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["frobnicate"],
+        ["h0", "example41", "1,1", "--bogus"],
+        ["h0", "example41"],
+        ["h0", "example41", "1,1", "2,2"],
+        ["verify", "example41", "--samples", "abc"],
+        ["sweep", "example41", "--ray", "r3"],
+        ["h0", "example41", "-1,8"],
+    ],
+    ids=["no-command", "unknown-command", "unknown-option", "missing-argument", "extra-argument",
+         "bad-integer", "bad-choice", "minus-without-dashes"],
+)
+def test_usage_error_is_one_parse_error_line(runner, args):
+    argv = [str(bundled_model_path(a)) if a in BUNDLED else a for a in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1, result.stderr
+
+
+def test_help_and_negative_option_values_still_parse(runner, tmp_path):
+    for args in (["--help"], ["h0", "--help"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0 and result.stdout.startswith("Usage: "), result.output
+    out = tmp_path / "s.csv"
+    result = invoke(runner, "sweep", str(bundled_model_path("example41")), "--dir", "-1,8", "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert out.read_text().splitlines()[1].startswith("256,-251,2053,")
+
+
 # example41 with involutions that fix H1 and H2 but turn the movable cone away
 # from the nef cone; sigma keeps lambda = 23 + 4*sqrt(33)
 _REVERSED = (("tau1", "tau2"), ([1, -6, 0, -1], [-1, 0, -8, 1]))
