@@ -277,7 +277,6 @@ class SigmaData:
     basis, wi . rayj = [i == j], so the eigen-coordinates of D are wi . D.
     """
 
-    sigma: LatticeMap
     eigenvalue: QuadNum
     eigenvalue_inv: QuadNum
     ray1: DivisorClass
@@ -418,7 +417,7 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     r1, r2 = -r1 if s1 < 0 else r1, -r2 if s2 < 0 else r2
     inv = det2(r1, r2).inverse()
     dual = (DivisorClass(r2.q * inv, -r2.p * inv), DivisorClass(-r1.q * inv, r1.p * inv))
-    return SigmaData(sig, lam, lam_inv, r1, r2, d, dual)
+    return SigmaData(lam, lam_inv, r1, r2, d, dual)
 
 
 def movable_cone(s: SigmaData) -> Cone2:

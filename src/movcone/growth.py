@@ -22,6 +22,7 @@ from .exact import QuadNum
 from .riemann_roch import h0_movable
 
 CSV_HEADER = "m,p,q,h0,l1_approx,word_len,skipped"
+L1_DIGITS = 30  # significant digits of l1_approx in the CSV
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,14 @@ def floor_class(m: int, ray: DivisorClass, ample: DivisorClass) -> DivisorClass:
     return DivisorClass.from_ints((ray.p * m).floor() + ap, (ray.q * m).floor() + aq)
 
 
-def geometric_grid(mmin: int = 256, mmax: int = 1 << 20, factor: int = 2) -> list[int]:
-    if mmin < 1 or mmax < mmin or factor < 2:
-        raise ValueError("need 1 <= mmin <= mmax and factor >= 2")
+def geometric_grid(mmin: int = 256, mmax: int = 1 << 20) -> list[int]:
+    if mmin < 1 or mmax < mmin:
+        raise ValueError("need 1 <= mmin <= mmax")
     ms = []
     m = mmin
     while m <= mmax:
         ms.append(m)
-        m *= factor
+        m *= 2
     return ms
 
 
@@ -154,7 +155,7 @@ def estimate_exponent(records) -> FitReport:
     return FitReport(slope, intercept, residual, min(bands), max(bands))
 
 
-def rounddown_check(model: CYModel, s: SigmaData, samples) -> RounddownReport:
+def rounddown_check(s: SigmaData, samples) -> RounddownReport:
     """Exact ratio of invariant areas before and after coefficient-wise
     round-down; raises if the band is non-positive or wider than 10^3."""
     ratios: list[QuadNum] = []
@@ -177,12 +178,12 @@ def rounddown_check(model: CYModel, s: SigmaData, samples) -> RounddownReport:
     return RounddownReport(tuple(float(r) for r in ratios), float(rmin), float(rmax))
 
 
-def render_l1(x: QuadNum, digits: int = 30) -> str:
-    """Decimal rendering at the given number of significant digits.
+def render_l1(x: QuadNum) -> str:
+    """Decimal rendering at L1_DIGITS significant digits.
 
     The exact value is rounded half up at the last digit and written in
-    fixed point for decimal exponents e with min(-digits // 3, -5) < e <
-    digits, otherwise as "d.ddd" plus "e+N"/"e-N"; trailing zeros are
+    fixed point for decimal exponents e with min(-(L1_DIGITS // 3), -5) < e
+    < L1_DIGITS, otherwise as "d.ddd" plus "e+N"/"e-N"; trailing zeros are
     stripped down to "X.0".
     """
     if not x:
@@ -194,14 +195,14 @@ def render_l1(x: QuadNum, digits: int = 30) -> str:
         f = x.floor()
     # 10**e <= x < 10**(e + 1), except e is one too small at x = 10**-k
     e = len(str(f)) - 1 if f else -len(str(x.inverse().floor()))
-    m = (x * Fraction(10) ** (digits - e)).floor()
-    if m >= 10 ** (digits + 1):
+    m = (x * Fraction(10) ** (L1_DIGITS - e)).floor()
+    if m >= 10 ** (L1_DIGITS + 1):
         e, m = e + 1, m // 10
     n = (m + 5) // 10
-    if n == 10**digits:
+    if n == 10**L1_DIGITS:
         e, n = e + 1, n // 10
     text = str(n)
-    fixed = min(-(digits // 3), -5) < e < digits
+    fixed = min(-(L1_DIGITS // 3), -5) < e < L1_DIGITS
     if fixed and e < 0:
         text, e = "0" * -e + text, 0
     split = e + 1 if fixed else 1

@@ -64,11 +64,13 @@ def wall_crossing_sandwich(dyn: Dynamics, rng: Random, count: int) -> str | None
 
 
 def section_count_word_invariance(dyn: Dynamics, rng: Random, count: int) -> str | None:
-    """h0 is unchanged along words of 1 to 6 letters sigma, sigma^-1, tau1,
-    tau2.  Needs the involutions, which make the nef cone the fundamental
-    domain."""
+    """h0 is unchanged along words of 1 to 6 letters sigma, sigma^-1 and,
+    when the model has them, tau1, tau2.  The classes are images of nef
+    classes, so they reduce into the nef cone on every model."""
     model, s, pi = dyn.model, dyn.sigma, dyn.pi
-    letters = [model.sigma, model.sigma.inverse(), model.tau1, model.tau2]
+    letters = [model.sigma, model.sigma.inverse()]
+    if model.has_involutions:
+        letters += [model.tau1, model.tau2]
     for _ in range(count):
         D = moved = _movable(dyn, rng)
         for _ in range(rng.randint(1, 6)):

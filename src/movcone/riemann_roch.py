@@ -15,7 +15,7 @@ from .cones import (
 
 
 class ChamberCoveringError(ValueError):
-    """Fundamental domain differs from the nef cone; chi is only known there."""
+    """A class outside the nef cone, where chi need not count its sections."""
 
 
 def chi_nef(model: CYModel, D: DivisorClass) -> int:
@@ -23,7 +23,7 @@ def chi_nef(model: CYModel, D: DivisorClass) -> int:
     if not D.is_integral:
         raise ValueError(f"chi requires an integral class, got {D}")
     if not cone_contains(model.nef_cone(), D):
-        raise ValueError(f"{D} is not nef")
+        raise ChamberCoveringError(f"chamber covering not implemented: {D} is not nef")
     p, q = D.integer_coords()
     val = model.chi(p, q)
     if val.denominator != 1:
@@ -38,15 +38,11 @@ def h0_movable(
 ) -> tuple[int, list[str]]:
     """Sections of an integral class in the open movable cone.
 
-    Reduces D into the fundamental domain (a composition of birational
-    pullbacks, so the count is preserved) and evaluates chi there.  Only
-    models whose fundamental domain equals the nef cone are supported; the
-    rays of a domain from fundamental_domain are primitive, as H1 and H2 are,
-    so that is a comparison with nef1 and nef2.
+    Reduces D into the fundamental domain by birational pullbacks, which
+    preserve h0, and returns chi of the reduced class D'.  A nef class of
+    the open movable cone is big, so h0(D') = chi(D') by Kawamata-Viehweg.
+    With involutions the domain is the nef cone; without them, a D' outside
+    the nef cone raises ChamberCoveringError.
     """
-    if {pi.ray1, pi.ray2} != {model.nef1, model.nef2}:
-        raise ChamberCoveringError(
-            "chamber covering not implemented: fundamental domain is not the nef cone"
-        )
     word, reduced = reduce_to_domain(model, s, pi, D)
     return chi_nef(model, reduced), word

@@ -205,7 +205,7 @@ def test_criterion_6_empirical_bands(ex41):
                       QuadNum(Fraction(rng.randint(50, 4000), 3))), A55)
         for _ in range(200)
     ]
-    rd = rounddown_check(model, s, samples)
+    rd = rounddown_check(s, samples)
     rd_ok = rd.ratio_min > 0 and rd.ratio_max / rd.ratio_min <= 1000
 
     _report(

@@ -214,14 +214,20 @@ def test_unwritable_out_skips_the_sweep(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "args", [["--ample", "0,1"], ["--mmax", "512"]], ids=["sweep-fails", "fit-fails"]
+    "args, message",
+    [
+        (["--ample", "0,1"], "[0, 1] is not ample (not interior to the nef cone)"),
+        (["--mmax", "512"], "insufficient span: need at least 8 records, got 2"),
+        (["--mmin", "0"], "need 1 <= mmin <= mmax"),
+    ],
+    ids=["sweep-fails", "fit-fails", "grid-fails"],
 )
-def test_failed_sweep_keeps_existing_csv(runner, tmp_path, args):
+def test_failed_sweep_keeps_existing_csv(runner, tmp_path, args, message):
     out = tmp_path / "sweep.csv"
     out.write_text("old\n")
     result = runner.invoke(main, ["sweep", str(bundled_model_path("oguiso")), "--out", str(out), *args])
     assert result.exit_code == 2
-    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+    assert result.stderr == f"error: {message}\n"
     assert out.read_text() == "old\n"
     assert list(tmp_path.iterdir()) == [out]
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from golden_cli import CASES, golden_path, render
-from movcone.growth import geometric_grid, sweep, write_csv
 from movcone.cones import DivisorClass
+from movcone.growth import geometric_grid, sweep, write_csv
 
 BENCH_GOLDEN = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
 GRIDS = {"crit4": geometric_grid(256, 1 << 20), "deep": geometric_grid(256, 1 << 200)}

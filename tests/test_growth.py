@@ -164,20 +164,20 @@ def test_band_fields(ex41):
 
 
 def test_rounddown_integral_is_exact(ex41):
-    r = rounddown_check(ex41.model, ex41.sigma, [(D(7, 9), A55)])
+    r = rounddown_check(ex41.sigma, [(D(7, 9), A55)])
     assert r.ratios == (1.0,)
 
 
 def test_rounddown_boundary_multiples(ex41):
     samples = [(ex41.sigma.ray1.scale(m), A55) for m in (10, 100, 1000)]
-    rep = rounddown_check(ex41.model, ex41.sigma, samples)
+    rep = rounddown_check(ex41.sigma, samples)
     assert rep.ratio_min > 0
     assert rep.ratio_max / rep.ratio_min <= 1000
 
 
 def test_rounddown_negative_fraction_coordinate(ex41):
     cls = DivisorClass(QuadNum(Fraction(-1, 2)), QuadNum(3))
-    rep = rounddown_check(ex41.model, ex41.sigma, [(cls, A55)])
+    rep = rounddown_check(ex41.sigma, [(cls, A55)])
     assert rep.ratio_min > 0
 
 
@@ -191,7 +191,7 @@ def test_rounddown_random_band(ex41):
             (DivisorClass(QuadNum(Fraction(rng.randint(-900, 900), 7)),
                           QuadNum(Fraction(rng.randint(100, 9000), 11))), A55)
         )
-    rep = rounddown_check(ex41.model, ex41.sigma, samples)
+    rep = rounddown_check(ex41.sigma, samples)
     assert rep.ratio_min > 0 and rep.ratio_max / rep.ratio_min <= 1000
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -56,15 +57,22 @@ def test_h0_examples(ex41):
     assert h0 == 4 and word == [TAU2]
 
 
-def test_h0_invariance_under_random_words(ex41, oguiso):
+def test_h0_invariance_under_random_words(ex41, oguiso, synthetic):
     rng = random.Random(4)
-    for dyn in (ex41, oguiso):
+    for dyn in (ex41, oguiso, synthetic):
         assert section_count_word_invariance(dyn, rng, 500) is None
 
 
+@pytest.mark.parametrize("p, q", [(1, 1), (3, 1), (1, 3), (3, 2)])
+def test_h0_on_nef_classes_without_involutions(synthetic, p, q):
+    m = synthetic.model
+    assert h0_movable(m, synthetic.sigma, synthetic.pi, D(p, q)) == (m.chi(p, q), [])
+
+
 def test_h0_rejects_chamber_covered_models(synthetic):
-    with pytest.raises(ChamberCoveringError):
-        h0_movable(synthetic.model, synthetic.sigma, synthetic.pi, D(1, 1))
+    # an r1 sweep row whose reduction leaves the nef cone
+    with pytest.raises(ChamberCoveringError, match=re.escape("[-7, 151]")):
+        h0_movable(synthetic.model, synthetic.sigma, synthetic.pi, D(-295, 1029))
 
 
 def test_h0_rejects_non_big(ex41):
