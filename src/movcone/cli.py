@@ -1,18 +1,19 @@
 """Command-line surface: verify, derive, sweep, reduce and h0 on model files.
 
 Exit codes: 0 success, 2 validation failure, 3 parse error.
+
+Each command imports the modules it runs inside its own body, so a cold `h0`
+loads neither the property suites nor the algebra oracles.
 """
 
 from __future__ import annotations
 
-import random
+import os
 import sys
 import time
 from pathlib import Path
 
-import click
-
-from . import chow, growth, hilbert, models, properties
+from . import models
 from .cones import (
     DivisorClass,
     Dynamics,
@@ -22,15 +23,18 @@ from .cones import (
     reduce_to_domain,
     validate_model,
 )
-from .riemann_roch import chi_nef
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 
 
+def _echo(text: str, err: bool = False) -> None:
+    print(text, file=sys.stderr if err else sys.stdout, flush=True)
+
+
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -49,30 +53,126 @@ def _parse_class(text: str) -> DivisorClass:
     return DivisorClass.from_ints(p, q)
 
 
-class _Group(click.Group):
-    """Reports a usage error as one error line with the parse-error code."""
+def _ray(text: str) -> str:
+    if text not in ("r1", "r2"):
+        raise ValueError(text)
+    return text
 
-    def main(self, *args, **kwargs):
+
+# command name -> (function, argument names, options); an option is
+# (name, default, convert, help) and convert None marks a flag.  The function
+# takes the arguments, then the option values, in table order.
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(arguments: tuple[str, ...], *options: tuple):
+    def register(func):
+        _COMMANDS[func.__name__] = (func, arguments, options)
+        return func
+
+    return register
+
+
+def _help(name: str | None) -> str:
+    """Help for the whole program or one command, from the docstrings (absent
+    under `python -OO`) and the option table."""
+    if name is None:
+        usage, doc, title = "COMMAND [ARGS]...", main.__doc__ or "", "Commands"
+        rows = [(n, (f.__doc__ or "").partition("\n")[0]) for n, (f, _, _) in sorted(_COMMANDS.items())]
+    else:
+        func, arguments, options = _COMMANDS[name]
+        usage, doc, title = f"{name} [OPTIONS] {' '.join(arguments)}", func.__doc__ or "", "Options"
+        rows = [
+            (f"--{opt} VALUE", f"{text}  [default: {default}]" if default is not None else text)
+            if convert
+            else (f"--{opt}", text)
+            for opt, default, convert, text in options
+        ]
+        rows.append(("--help", "Show this message and exit."))
+    width = max(len(left) for left, _ in rows)
+    table = "\n".join(f"  {left:<{width}}  {right}" for left, right in rows)
+    return f"Usage: movcone {usage}\n\n  {doc}\n\n{title}:\n{table}"
+
+
+def _parse(name: str, argv: list[str]) -> list:
+    """The arguments and option values of one command, in table order.
+    Options may sit anywhere before "--", as "--opt value" or "--opt=value";
+    an option's value may begin with a minus."""
+    _, arguments, options = _COMMANDS[name]
+    table = {f"--{opt[0]}": opt for opt in options}
+    values = {opt[0]: opt[1] for opt in options}
+    positional = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            positional.extend(rest)
+            break
+        if arg == "--help":
+            _echo(_help(name))
+            sys.exit(EXIT_OK)
+        if not arg.startswith("-") or arg == "-":
+            positional.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in table:
+            _fail(EXIT_PARSE, f"No such option '{flag}'.")
+        opt, _, convert, _ = table[flag]
+        if convert is None:
+            if eq:
+                _fail(EXIT_PARSE, f"Option '{flag}' does not take a value.")
+            values[opt] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                _fail(EXIT_PARSE, f"Option '{flag}' requires an argument.")
         try:
-            return super().main(*args, standalone_mode=False, **kwargs)
-        except click.UsageError as exc:
-            _fail(EXIT_PARSE, exc.format_message())
-        except click.Abort:
-            click.echo("Aborted!", err=True)
-            sys.exit(1)
+            values[opt] = convert(value)
+        except ValueError:
+            _fail(EXIT_PARSE, f"Invalid value for '{flag}': {value!r}.")
+    if len(positional) < len(arguments):
+        _fail(EXIT_PARSE, f"Missing argument '{arguments[len(positional)]}'.")
+    if len(positional) > len(arguments):
+        _fail(EXIT_PARSE, f"Got unexpected extra argument ({positional[len(arguments)]})")
+    return positional + [values[opt[0]] for opt in options]
 
 
-@click.group(cls=_Group, no_args_is_help=False)
-def main():
+def main(argv: list[str] | None = None) -> None:
     """Exact cone dynamics and section-count growth for rank-2 models."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    try:
+        if not args:
+            _fail(EXIT_PARSE, "Missing command.")
+        name, *rest = args
+        if name == "--help":
+            _echo(_help(None))
+        elif name in _COMMANDS:
+            _COMMANDS[name][0](*_parse(name, rest))
+        elif name.startswith("-"):
+            _fail(EXIT_PARSE, f"No such option '{name}'.")
+        else:
+            _fail(EXIT_PARSE, f"No such command '{name}'.")
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
+        sys.exit(1)
+    except BrokenPipeError:
+        # the reader closed stdout (`movcone verify ... | head -1`); point the
+        # descriptor at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
-@main.command()
-@click.argument("model_file")
-@click.option("--samples", default=200, show_default=True, help="Random cases per property suite.")
-@click.option("--seed", default=0, show_default=True, help="Seed for the property suites.")
+@_command(
+    ("MODEL_FILE",),
+    ("samples", 200, int, "Random cases per property suite."),
+    ("seed", 0, int, "Seed for the property suites."),
+)
 def verify(model_file: str, samples: int, seed: int):
     """Validate a model and run its randomized property suites."""
+    import random
+
+    from . import properties
+
     if samples < 1:
         _fail(EXIT_VALIDATION, f"--samples must be at least 1, got {samples}")
     mf = _load(model_file)
@@ -81,10 +181,10 @@ def verify(model_file: str, samples: int, seed: int):
     def report(name: str, problem: str | None):
         nonlocal failures
         if problem is None:
-            click.echo(f"PASS {name}")
+            _echo(f"PASS {name}")
         else:
             failures += 1
-            click.echo(f"FAIL {name}: {problem}")
+            _echo(f"FAIL {name}: {problem}")
 
     try:
         model = mf.to_cymodel()
@@ -100,7 +200,7 @@ def verify(model_file: str, samples: int, seed: int):
     report("model-invariants", None)
 
     s = eigen_sigma(model)
-    click.echo(f"lambda = {s.eigenvalue}")
+    _echo(f"lambda = {s.eigenvalue}")
     report("eigen-analysis", None)
     dyn = Dynamics(model, s, fundamental_domain(model, model.nef1 + model.nef2))
     report("fundamental-domain", None)
@@ -117,20 +217,23 @@ def verify(model_file: str, samples: int, seed: int):
     )
     for name, suite, count, needs_involutions in suites:
         if needs_involutions and not model.has_involutions:
-            click.echo(f"SKIP {name}: model has no birational involutions")
+            _echo(f"SKIP {name}: model has no birational involutions")
             continue
         report(name, suite(dyn, rng, count))
 
     sys.exit(EXIT_VALIDATION if failures else EXIT_OK)
 
 
-@main.command()
-@click.argument("model_file")
-@click.option("--grid", default=3, show_default=True, help="Max bidegree coordinate for fit samples.")
-@click.option("--out", type=click.Path(), default=None, help="Write here instead of in place.")
-@click.option("--force", is_flag=True, help="Overwrite conflicting stored values.")
+@_command(
+    ("MODEL_FILE",),
+    ("grid", 3, int, "Max bidegree coordinate for fit samples."),
+    ("out", None, str, "Write here instead of in place."),
+    ("force", False, None, "Overwrite conflicting stored values."),
+)
 def derive(model_file: str, grid: int, out: str | None, force: bool):
     """Derive triform/c2form from the ci block and/or ideal files."""
+    from . import chow, hilbert
+
     mf = _load(model_file)
     if mf.ci is None and mf.ideal_files is None:
         _fail(EXIT_VALIDATION, "model has neither a ci block nor ideal files to derive from")
@@ -155,7 +258,7 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
             results["hilbert-fit"] = hilbert.fit_chi(samples)
         except (ValueError, hilbert.RankDisagreement) as exc:
             _fail(EXIT_VALIDATION, f"hilbert derivation failed: {exc}")
-        click.echo(f"hilbert fit over {len(samples)} bidegrees in {time.perf_counter() - t0:.1f}s")
+        _echo(f"hilbert fit over {len(samples)} bidegrees in {time.perf_counter() - t0:.1f}s")
 
     values = list(results.values())
     if len(values) == 2 and values[0] != values[1]:
@@ -166,7 +269,7 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
         )
     tri, c2 = values[0]
     tag = "+".join(results)
-    click.echo(f"triform = {tri.as_tuple()}  c2form = {c2.as_tuple()}  [{tag}]")
+    _echo(f"triform = {tri.as_tuple()}  c2form = {c2.as_tuple()}  [{tag}]")
 
     stored = (tuple(mf.triform), tuple(mf.c2form))
     derived = (tri.as_tuple(), c2.as_tuple())
@@ -186,7 +289,7 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
         models.save_model(mf, target)
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot write {target}: {exc.strerror or exc}")
-    click.echo(f"wrote {target}")
+    _echo(f"wrote {target}")
 
 
 def _prepare(model_file: str) -> Dynamics:
@@ -197,16 +300,19 @@ def _prepare(model_file: str) -> Dynamics:
         _fail(EXIT_VALIDATION, str(exc))
 
 
-@main.command()
-@click.argument("model_file")
-@click.option("--ray", type=click.Choice(["r1", "r2"]), default="r1", show_default=True)
-@click.option("--dir", "direction", default=None, help='Integral sweep direction "p,q" (overrides --ray).')
-@click.option("--ample", default="5,5", show_default=True, help='Ample shift "p,q".')
-@click.option("--mmin", default=256, show_default=True)
-@click.option("--mmax", default=1 << 20, show_default=True)
-@click.option("--out", type=click.Path(), default="sweep.csv", show_default=True)
+@_command(
+    ("MODEL_FILE",),
+    ("ray", "r1", _ray, "Boundary ray to sweep along: r1 or r2."),
+    ("dir", None, str, 'Integral sweep direction "p,q" (overrides --ray).'),
+    ("ample", "5,5", str, 'Ample shift "p,q".'),
+    ("mmin", 256, int, "Smallest multiple on the grid."),
+    ("mmax", 1 << 20, int, "Largest multiple on the grid."),
+    ("out", "sweep.csv", str, "CSV output path."),
+)
 def sweep(model_file: str, ray: str, direction: str | None, ample: str, mmin: int, mmax: int, out: str):
     """Run the section-count growth sweep and fit the exponent."""
+    from . import growth
+
     dyn = _prepare(model_file)
     ample_cls = _parse_class(ample)
     ray_arg = _parse_class(direction) if direction else ray
@@ -223,17 +329,15 @@ def sweep(model_file: str, ray: str, direction: str | None, ample: str, mmin: in
             growth.write_csv(records, fp)
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot write {out}: {exc.strerror or exc}")
-    click.echo(f"wrote {out} ({len(records)} records)")
-    click.echo(
+    _echo(f"wrote {out} ({len(records)} records)")
+    _echo(
         f"slope = {report.slope:.4f}  intercept = {report.intercept:.4f}  "
         f"residual = {report.residual:.4f}"
     )
-    click.echo(f"h0/m^1.5 band = [{report.band_min:.4f}, {report.band_max:.4f}]")
+    _echo(f"h0/m^1.5 band = [{report.band_min:.4f}, {report.band_max:.4f}]")
 
 
-@main.command()
-@click.argument("model_file")
-@click.argument("cls")
+@_command(("MODEL_FILE", "CLS"))
 def reduce(model_file: str, cls: str):
     """Reduce an integral movable class into the fundamental domain."""
     dyn = _prepare(model_file)
@@ -243,15 +347,15 @@ def reduce(model_file: str, cls: str):
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     p, q = reduced.integer_coords()
-    click.echo(f"word = [{' '.join(word)}]")
-    click.echo(f"reduced = {p},{q}")
+    _echo(f"word = [{' '.join(word)}]")
+    _echo(f"reduced = {p},{q}")
 
 
-@main.command()
-@click.argument("model_file")
-@click.argument("cls")
+@_command(("MODEL_FILE", "CLS"))
 def h0(model_file: str, cls: str):
     """Section count of an integral class in the open movable cone."""
+    from .riemann_roch import chi_nef
+
     dyn = _prepare(model_file)
     D = _parse_class(cls)
     try:
@@ -260,9 +364,9 @@ def h0(model_file: str, cls: str):
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     p, q = reduced.integer_coords()
-    click.echo(f"word = [{' '.join(word)}]")
-    click.echo(f"reduced = {p},{q}")
-    click.echo(f"h0 = {count}")
+    _echo(f"word = [{' '.join(word)}]")
+    _echo(f"reduced = {p},{q}")
+    _echo(f"h0 = {count}")
 
 
 if __name__ == "__main__":

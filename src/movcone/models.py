@@ -112,10 +112,14 @@ def _int_list(value, label: str, length: int | None = None) -> tuple[int, ...]:
 
 
 def parse_model_text(text: str, path: Path | None = None) -> ModelFile:
+    # ValueError covers JSONDecodeError and an integer literal past the
+    # interpreter's digit limit; RecursionError, nesting too deep to decode
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ModelParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelParseError("model file must contain a JSON object")
     unknown = set(doc) - set(_ALLOWED_KEYS)
@@ -191,8 +195,8 @@ def parse_model_text(text: str, path: Path | None = None) -> ModelFile:
 def load_model(path) -> ModelFile:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelParseError(f"cannot read {path}: {exc}") from exc
     return parse_model_text(text, path)
 

@@ -14,9 +14,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from movcone.cli import main
+from cli_runner import invoke
 from movcone.models import bundled_model_path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,15 +51,15 @@ def render(model: str, name: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            result = CliRunner().invoke(main, argv, catch_exceptions=False)
+            result = invoke(*argv)
             csv = Path(CSV).read_bytes() if Path(CSV).exists() else None
         finally:
             os.chdir(cwd)
     return (
         f"$ movcone {command} {model}.model {' '.join(options)}\n"
         f"exit {result.exit_code}\n"
-        + _section("stdout", result.stdout_bytes)
-        + _section("stderr", result.stderr_bytes)
+        + _section("stdout", result.stdout.encode())
+        + _section("stderr", result.stderr.encode())
         + (_section(CSV, csv) if csv is not None else f"--- {CSV} absent\n")
     )
 

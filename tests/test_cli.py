@@ -8,13 +8,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import movcone
+from cli_runner import invoke
 from movcone import growth, properties
-from movcone.cli import main
 from movcone.models import (
     ModelFile,
     ModelParseError,
@@ -27,15 +26,6 @@ from movcone.models import (
 )
 
 BUNDLED = ("example41", "oguiso", "synthetic-bminus-empty")
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
 
 
 def test_bundled_list():
@@ -87,49 +77,49 @@ def test_tau_and_sigma_exclusive():
         parse_model_text(json.dumps(doc))
 
 
-def test_verify_bundled_models(runner):
+def test_verify_bundled_models():
     for name in BUNDLED:
-        result = invoke(runner, "verify", str(bundled_model_path(name)), "--samples", "40")
+        result = invoke("verify", str(bundled_model_path(name)), "--samples", "40")
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
 
 
-def test_verify_prints_lambda(runner):
-    result = invoke(runner, "verify", str(bundled_model_path("example41")), "--samples", "20")
+def test_verify_prints_lambda():
+    result = invoke("verify", str(bundled_model_path("example41")), "--samples", "20")
     assert "lambda = 23 + 4*sqrt(33)" in result.output
 
 
-def test_verify_tampered_involution(runner, tmp_path):
+def test_verify_tampered_involution(tmp_path):
     doc = json.loads(bundled_model_path("example41").read_text())
     doc["tau1"] = [1, 6, 0, 1]
     bad = tmp_path / "bad.model"
     bad.write_text(json.dumps(doc))
-    result = invoke(runner, "verify", str(bad), "--samples", "10")
+    result = invoke("verify", str(bad), "--samples", "10")
     assert result.exit_code == 2
     assert "FAIL model-invariants" in result.output
 
 
-def test_verify_broken_chi_integrality(runner, tmp_path):
+def test_verify_broken_chi_integrality(tmp_path):
     doc = json.loads(bundled_model_path("example41").read_text())
     doc["c2form"] = [45, 56]
     bad = tmp_path / "bad.model"
     bad.write_text(json.dumps(doc))
-    result = invoke(runner, "verify", str(bad), "--samples", "10")
+    result = invoke("verify", str(bad), "--samples", "10")
     assert result.exit_code == 2
     assert "chi integrality" in result.output
 
 
-def test_verify_reports_failing_property_suite(runner, monkeypatch):
+def test_verify_reports_failing_property_suite(monkeypatch):
     monkeypatch.setattr(properties, "area_coordinate", lambda D, s: D.p)
-    result = invoke(runner, "verify", str(bundled_model_path("example41")), "--samples", "10")
+    result = invoke("verify", str(bundled_model_path("example41")), "--samples", "10")
     assert result.exit_code == 2
     assert "FAIL area-invariance: area changed under sigma for" in result.output
 
 
-def test_verify_parse_error_exit_code(runner, tmp_path):
+def test_verify_parse_error_exit_code(tmp_path):
     bad = tmp_path / "garbage.model"
     bad.write_text("{not json")
-    result = invoke(runner, "verify", str(bad))
+    result = invoke("verify", str(bad))
     assert result.exit_code == 3
 
 
@@ -143,32 +133,32 @@ def _stage(tmp_path, name):
     return target
 
 
-def test_derive_oguiso_agreement(runner, tmp_path):
+def test_derive_oguiso_agreement(tmp_path):
     path = _stage(tmp_path, "oguiso")
-    result = invoke(runner, "derive", str(path))
+    result = invoke("derive", str(path))
     assert result.exit_code == 0, result.output
     assert "(2, 6, 6, 2)" in result.output
     assert "chow+hilbert-fit" in result.output
     assert load_model(path).triform == (2, 6, 6, 2)
 
 
-def test_derive_disagreeing_routes_error(runner, tmp_path):
+def test_derive_disagreeing_routes_error(tmp_path):
     path = _stage(tmp_path, "oguiso")
     doc = json.loads(path.read_text())
     doc["ci"]["degrees"] = [[1, 1], [2, 1], [1, 2]]  # different family
     path.write_text(json.dumps(doc))
-    result = invoke(runner, "derive", str(path))
+    result = invoke("derive", str(path))
     assert result.exit_code == 2
     assert "disagree" in result.output + result.stderr
 
 
-def test_derive_pfaffian_model_conflicts_with_reference(runner, tmp_path):
+def test_derive_pfaffian_model_conflicts_with_reference(tmp_path):
     path = _stage(tmp_path, "example41")
-    result = invoke(runner, "derive", str(path))
+    result = invoke("derive", str(path))
     assert result.exit_code == 2
     assert "(2, 6, 8, 4)" in result.output + result.stderr
     out = tmp_path / "derived.model"
-    forced = invoke(runner, "derive", str(path), "--force", "--out", str(out))
+    forced = invoke("derive", str(path), "--force", "--out", str(out))
     assert forced.exit_code == 0, forced.output
     derived = load_model(out)
     assert derived.triform == (2, 6, 8, 4)
@@ -176,15 +166,15 @@ def test_derive_pfaffian_model_conflicts_with_reference(runner, tmp_path):
     assert derived.provenance["triform"] == "hilbert-fit"
 
 
-def test_derive_without_sources(runner, tmp_path):
+def test_derive_without_sources(tmp_path):
     path = _stage(tmp_path, "synthetic-bminus-empty")
-    result = invoke(runner, "derive", str(path))
+    result = invoke("derive", str(path))
     assert result.exit_code == 2
 
 
-def test_sweep_cli(runner, tmp_path):
+def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
-    result = invoke(runner, "sweep", str(bundled_model_path("example41")), "--out", str(out))
+    result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(out))
     assert result.exit_code == 0, result.output
     assert "slope =" in result.output
     lines = out.read_text().splitlines()
@@ -195,7 +185,7 @@ def test_sweep_cli(runner, tmp_path):
 @pytest.mark.parametrize("command", ["sweep", "derive"])
 def test_unwritable_out_is_one_error_line(command, tmp_path):
     target = tmp_path / "missing" / "out"
-    result = CliRunner().invoke(main, [command, str(_stage(tmp_path, "oguiso")), "--out", str(target)])
+    result = invoke(command, str(_stage(tmp_path, "oguiso")), "--out", str(target))
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(
         result.exception
     )
@@ -207,7 +197,7 @@ def test_unwritable_out_skips_the_sweep(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(growth, "sweep", lambda *args, **kw: calls.append(args))
     target = tmp_path / "missing" / "s.csv"
-    result = CliRunner().invoke(main, ["sweep", str(bundled_model_path("oguiso")), "--out", str(target)])
+    result = invoke("sweep", str(bundled_model_path("oguiso")), "--out", str(target))
     assert result.exit_code == 2
     assert result.stderr.startswith(f"error: cannot write {target}") and len(result.stderr.splitlines()) == 1
     assert calls == []
@@ -222,10 +212,10 @@ def test_unwritable_out_skips_the_sweep(tmp_path, monkeypatch):
     ],
     ids=["sweep-fails", "fit-fails", "grid-fails"],
 )
-def test_failed_sweep_keeps_existing_csv(runner, tmp_path, args, message):
+def test_failed_sweep_keeps_existing_csv(tmp_path, args, message):
     out = tmp_path / "sweep.csv"
     out.write_text("old\n")
-    result = runner.invoke(main, ["sweep", str(bundled_model_path("oguiso")), "--out", str(out), *args])
+    result = invoke("sweep", str(bundled_model_path("oguiso")), "--out", str(out), *args)
     assert result.exit_code == 2
     assert result.stderr == f"error: {message}\n"
     assert out.read_text() == "old\n"
@@ -233,34 +223,55 @@ def test_failed_sweep_keeps_existing_csv(runner, tmp_path, args, message):
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
-def test_verify_rejects_samples_below_one(runner, samples):
-    result = runner.invoke(main, ["verify", str(bundled_model_path("example41")), "--samples", samples])
+def test_verify_rejects_samples_below_one(samples):
+    result = invoke("verify", str(bundled_model_path("example41")), "--samples", samples)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: --samples must be at least 1, got {samples}\n"
 
 
-def test_sweep_rejects_non_ample(runner):
-    result = invoke(runner, "sweep", str(bundled_model_path("example41")), "--ample", "0,1")
+def test_sweep_rejects_non_ample():
+    result = invoke("sweep", str(bundled_model_path("example41")), "--ample", "0,1")
     assert result.exit_code == 2
 
 
-def test_reduce_cli(runner):
+def test_reduce_cli():
     # "--" keeps the leading-minus class from being read as a flag
-    result = invoke(runner, "reduce", str(bundled_model_path("example41")), "--", "-1,8")
+    result = invoke("reduce", str(bundled_model_path("example41")), "--", "-1,8")
     assert result.exit_code == 0
     assert "word = [tau2]" in result.output
     assert "reduced = 1,0" in result.output
 
 
-def test_h0_cli(runner):
-    result = invoke(runner, "h0", str(bundled_model_path("example41")), "1,1")
+def test_h0_cli():
+    result = invoke("h0", str(bundled_model_path("example41")), "1,1")
     assert result.exit_code == 0
     assert "h0 = 16" in result.output
     assert "word = []" in result.output
 
-    result = invoke(runner, "h0", str(bundled_model_path("example41")), "--", "-1,8")
+    result = invoke("h0", str(bundled_model_path("example41")), "--", "-1,8")
     assert "h0 = 4" in result.output
+
+
+# the movcone modules each command loads beyond the package, cli, cones,
+# exact and models
+_COMMAND_MODULES = {
+    "h0": ["riemann_roch"],
+    "reduce": [],
+    "sweep": ["growth", "riemann_roch"],
+    "verify": ["properties", "riemann_roch"],
+    "derive": ["chow", "hilbert"],
+}
+
+
+def _run_child(code):
+    """Run code in a fresh interpreter that imports the same movcone as this
+    process; return its stdout after asserting a zero exit."""
+    path = [str(Path(movcone.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 @pytest.mark.parametrize(
@@ -275,6 +286,9 @@ def test_h0_cli(runner):
     ids=lambda args: args[0],
 )
 def test_command_leaves_numpy_unloaded(args, tmp_path):
+    """A cold command loads neither numpy nor click, and of movcone only the
+    modules it runs: the oracles for derive, growth for sweep, the property
+    suites for verify."""
     argv = [str(bundled_model_path(a)) if a in BUNDLED else a.format(tmp=tmp_path) for a in args]
     code = (
         "import sys, movcone\n"
@@ -282,22 +296,57 @@ def test_command_leaves_numpy_unloaded(args, tmp_path):
         f"try:\n    main({argv!r})\n"
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
         "assert 'numpy' not in sys.modules\n"
+        "assert 'click' not in sys.modules\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('movcone.'))))\n"
     )
-    # the child imports the same movcone as this process
-    path = [str(Path(movcone.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout
+    *output, loaded = _run_child(code).splitlines()
+    assert output
+    base = ["cli", "cones", "exact", "models"]
+    assert loaded.split() == sorted(f"movcone.{m}" for m in base + _COMMAND_MODULES[args[0]])
 
 
-def test_h0_outside_cone(runner):
-    result = invoke(runner, "h0", str(bundled_model_path("example41")), "--", "-1,0")
+def test_package_exports_resolve_lazily():
+    """`import movcone` loads no submodule; every name in __all__ resolves to
+    its module's object, is listed by dir() and comes with a star import."""
+    code = (
+        "import sys, movcone\n"
+        "assert not [m for m in sys.modules if m.startswith('movcone.')]\n"
+        "listed = dir(movcone)\n"
+        "for name in movcone.__all__:\n"
+        "    obj = getattr(movcone, name)\n"
+        "    assert name in listed, name\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+        "assert movcone.hilbert is sys.modules['movcone.hilbert']\n"
+        "namespace = {}\n"
+        "exec('from movcone import *', namespace)\n"
+        "assert set(movcone.__all__) <= set(namespace)\n"
+        "try:\n    movcone.no_such_name\n"
+        "except AttributeError as exc:\n    print(exc)\n"
+    )
+    assert _run_child(code) == "module 'movcone' has no attribute 'no_such_name'\n"
+    assert len(movcone.__all__) == len(set(movcone.__all__))
+
+
+def test_interrupt_prints_aborted(tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(growth, "sweep", interrupt)
+    out = tmp_path / "s.csv"
+    result = invoke("sweep", str(bundled_model_path("oguiso")), "--out", str(out))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "\nAborted!\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_h0_outside_cone():
+    result = invoke("h0", str(bundled_model_path("example41")), "--", "-1,0")
     assert result.exit_code == 2
 
 
-def test_class_parse_error(runner):
-    result = invoke(runner, "h0", str(bundled_model_path("example41")), "1;1")
+def test_class_parse_error():
+    result = invoke("h0", str(bundled_model_path("example41")), "1;1")
     assert result.exit_code == 3
 
 
@@ -316,23 +365,30 @@ def test_class_parse_error(runner):
     ids=["no-command", "unknown-command", "unknown-option", "missing-argument", "extra-argument",
          "bad-integer", "bad-choice", "minus-without-dashes"],
 )
-def test_usage_error_is_one_parse_error_line(runner, args):
+def test_usage_error_is_one_parse_error_line(args):
     argv = [str(bundled_model_path(a)) if a in BUNDLED else a for a in args]
-    result = runner.invoke(main, argv)
+    result = invoke(*argv)
     assert result.exit_code == 3, result.output
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1, result.stderr
 
 
-def test_help_and_negative_option_values_still_parse(runner, tmp_path):
+def test_help_and_negative_option_values_still_parse(tmp_path):
     for args in (["--help"], ["h0", "--help"]):
-        result = runner.invoke(main, args)
+        result = invoke(*args)
         assert result.exit_code == 0 and result.stdout.startswith("Usage: "), result.output
     out = tmp_path / "s.csv"
-    result = invoke(runner, "sweep", str(bundled_model_path("example41")), "--dir", "-1,8", "--out", str(out))
+    result = invoke("sweep", str(bundled_model_path("example41")), "--dir", "-1,8", "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert out.read_text().splitlines()[1].startswith("256,-251,2053,")
+    out.unlink()
+    result = invoke("sweep", str(bundled_model_path("example41")), "--dir=-1,8", f"--out={out}")
     assert result.exit_code == 0, result.output
     assert out.read_text().splitlines()[1].startswith("256,-251,2053,")
 
+
+# example41, valid but for a name byte that is Latin-1 and not UTF-8
+_LATIN1_NAME = bundled_model_path("example41").read_bytes().replace(b'"example41"', b'"example41\xe9"')
 
 # example41 with involutions that fix H1 and H2 but turn the movable cone away
 # from the nef cone; sigma keeps lambda = 23 + 4*sqrt(33)
@@ -341,10 +397,13 @@ _REVERSED = (("tau1", "tau2"), ([1, -6, 0, -1], [-1, 0, -8, 1]))
 
 def _mutated(tmp_path, name, field, value):
     """A bundled model with field set to value, or each field of a tuple to
-    the matching entry of value."""
+    the matching entry of value; without a model name, the bytes value."""
+    path = tmp_path / "mutated.model"
+    if name is None:
+        path.write_bytes(value)
+        return path
     doc = json.loads(bundled_model_path(name).read_text())
     doc.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
-    path = tmp_path / "mutated.model"
     path.write_text(json.dumps(doc))
     return path
 
@@ -366,21 +425,25 @@ def _mutated(tmp_path, name, field, value):
         ("oguiso", "ci", {"dims": [3, True], "degrees": [[1, 1], [1, 1], [2, 2]]}, 3),
         ("oguiso", "ci", {"dims": [3, 3], "degrees": [[1, 1], [1, True], [2, 2]]}, 3),
         pytest.param("example41", *_REVERSED, 2, id="example41-reversed-involutions-2"),
+        # files that json.loads or UTF-8 decoding reject with other errors
+        pytest.param(None, None, _LATIN1_NAME, 3, id="not-utf8-3"),
+        pytest.param(None, None, b"[" * 200_000 + b"]" * 200_000, 3, id="nested-200000-deep-3"),
+        pytest.param(None, None, b"[" + b"7" * 5000 + b"]", 3, id="5000-digit-integer-3"),
     ],
 )
 @pytest.mark.parametrize("command", ["h0", "reduce", "sweep"])
-def test_invalid_model_exits_with_one_error_line(runner, tmp_path, name, field, value, code, command):
+def test_invalid_model_exits_with_one_error_line(tmp_path, name, field, value, code, command):
     path = _mutated(tmp_path, name, field, value)
     args = ["--out", str(tmp_path / "s.csv")] if command == "sweep" else ["1,1"]
-    result = runner.invoke(main, [command, str(path), *args])
+    result = invoke(command, str(path), *args)
     assert result.exit_code == code, result.output
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ")
 
 
-def test_verify_rejects_involutions_reversing_the_cone(runner, tmp_path):
-    result = invoke(runner, "verify", str(_mutated(tmp_path, "example41", *_REVERSED)))
+def test_verify_rejects_involutions_reversing_the_cone(tmp_path):
+    result = invoke("verify", str(_mutated(tmp_path, "example41", *_REVERSED)))
     assert result.exit_code == 2
     assert result.stdout == (
         "FAIL model-invariants: nef1: nef generator lies outside the open movable cone of sigma\n"
@@ -438,7 +501,7 @@ def test_cli_contract_on_mutated_models(text, cls, command):
         path = Path(tmp) / "fuzz.model"
         path.write_text(text)
         args = ["--samples", "5"] if command == "verify" else ["--", cls]
-        result = CliRunner().invoke(main, [command, str(path), *args])
+        result = invoke(command, str(path), *args)
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(
         result.exception
     )
@@ -503,7 +566,7 @@ def test_derive_contract_on_mutated_ideals(case):
             (Path(tmp) / f).write_text(text)
         out = str(Path(tmp) / "out.model")
         args = ["derive", str(Path(tmp) / "fuzz.model"), "--grid", "3", "--out", out]
-        result = CliRunner().invoke(main, args)
+        result = invoke(*args)
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(
         result.exception
     )
