@@ -240,8 +240,8 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
 
     results = {}
     if mf.ci is not None:
-        ci = chow.CIData(chow.MultiProjAmbient(tuple(mf.ci["dims"])), tuple(tuple(d) for d in mf.ci["degrees"]))
         try:
+            ci = chow.CIData(chow.MultiProjAmbient(tuple(mf.ci["dims"])), tuple(tuple(d) for d in mf.ci["degrees"]))
             results["chow"] = chow.intersection_data(ci)
         except ValueError as exc:
             _fail(EXIT_VALIDATION, f"chow derivation failed: {exc}")

@@ -234,8 +234,9 @@ class CYModel:
     """Intersection data plus the lattice action of the birational group.
 
     The nef cone is spanned by the basis classes nef1 = H1 and nef2 = H2;
-    tau1 fixes nef1, tau2 fixes nef2.  Models without birational involutions
-    carry sigma directly (tau1 = tau2 = None).
+    tau1 fixes nef1, tau2 fixes nef2.  sigma is set once, at construction:
+    to tau2.tau1 when the involutions are given, else to the sigma passed
+    (tau1 = tau2 = None).
     """
 
     name: str
@@ -243,21 +244,22 @@ class CYModel:
     c2form: C2Form
     tau1: LatticeMap | None
     tau2: LatticeMap | None
-    sigma_direct: LatticeMap | None = None
+    sigma: LatticeMap | None = None
     nef1: ClassVar[DivisorClass] = DivisorClass(QuadNum(1), QuadNum(0))
     nef2: ClassVar[DivisorClass] = DivisorClass(QuadNum(0), QuadNum(1))
+
+    def __post_init__(self):
+        if self.has_involutions:
+            sig = self.tau2 @ self.tau1
+            if self.sigma not in (None, sig):
+                raise ValueError(f"sigma {self.sigma.flat()} differs from tau2.tau1 = {sig.flat()}")
+            object.__setattr__(self, "sigma", sig)
+        elif self.sigma is None:
+            raise ValueError("model defines neither involutions nor sigma")
 
     @property
     def has_involutions(self) -> bool:
         return self.tau1 is not None
-
-    @property
-    def sigma(self) -> LatticeMap:
-        if self.has_involutions:
-            return self.tau2 @ self.tau1
-        if self.sigma_direct is None:
-            raise ValueError("model defines neither involutions nor sigma")
-        return self.sigma_direct
 
     def nef_cone(self) -> Cone2:
         return Cone2(self.nef1, self.nef2)
@@ -283,39 +285,6 @@ class SigmaData:
     ray2: DivisorClass
     d: int
     dual: tuple[DivisorClass, DivisorClass]
-
-
-def _cubic_positive_on_nef(model: CYModel) -> bool:
-    """Exact positivity of D^3 on nef classes with positive coordinates.
-
-    Restricts the cubic to the segment (1-t)*H1 + t*H2, where it is the
-    polynomial f below, and checks the endpoints plus every interior
-    critical point; quadratic-irrational critical points are evaluated
-    exactly in their own field.
-    """
-    t111, t112, t122, t222 = model.triform.as_tuple()
-    f = [
-        Fraction(t111),
-        Fraction(3 * (t112 - t111)),
-        Fraction(3 * (t111 - 2 * t112 + t122)),
-        Fraction(3 * (t112 - t122) + t222 - t111),
-    ]
-    if not any(f):
-        return False
-    if t111 < 0 or t222 < 0:
-        return False
-    A, B, C = 3 * f[3], 2 * f[2], f[1]
-    roots = [QuadNum(-C / B)] if A == 0 and B else []
-    disc = B * B - 4 * A * C
-    if A and disc > 0:
-        # sqrt(disc) = sqrt(n) / den; QuadNum folds a square n into a rational
-        n, half = disc.numerator * disc.denominator, 1 / (2 * A * disc.denominator)
-        roots = [QuadNum(-B / (2 * A), half, n), QuadNum(-B / (2 * A), -half, n)]
-    for t in roots:
-        if t.compare(0) > 0 and t.compare(1) < 0:
-            if (((t * f[3] + f[2]) * t + f[1]) * t + f[0]).compare(0) <= 0:
-                return False
-    return True
 
 
 def sigma_problems(sig: LatticeMap) -> list[str]:
@@ -357,27 +326,26 @@ def nef_problems(model: CYModel) -> list[str]:
 
 
 def validate_model(model: CYModel) -> list[str]:
-    """Check every model invariant; returns a list of violations (empty = ok)."""
+    """Check every model invariant; returns a list of violations (empty = ok).
+
+    A determinant -1 map fixing H1 is [[1, b], [0, -1]] and one fixing H2 is
+    [[-1, 0], [c, 1]]; both square to the identity.  H1 and H2 are nef, so by
+    Kleiman's criterion the four products H1^i.H2^(3-i) are >= 0, and D^3 > 0
+    on the open nef cone holds exactly when one of them is > 0.
+    """
     issues: list[str] = []
     if model.has_involutions:
-        ident = LatticeMap.identity()
         pairs = (("tau1", model.tau1, model.nef1), ("tau2", model.tau2, model.nef2))
         for label, t, g in pairs:
             if t.det() != -1:
                 issues.append(f"{label}: determinant must be -1, got {t.det()}")
-            if t @ t != ident:
-                issues.append(f"{label}: squared map is not the identity")
             if t.apply(g) != g:
                 issues.append(f"{label}: does not fix its nef boundary ray")
-    try:
-        sig = model.sigma
-    except ValueError as exc:
-        issues.append(str(exc))
-        return issues
-    issues.extend(sigma_problems(sig) or nef_problems(model))
+    issues.extend(sigma_problems(model.sigma) or nef_problems(model))
 
-    if not _cubic_positive_on_nef(model):
-        issues.append("triple form: D^3 is not positive on the open nef cone")
+    t = model.triform.as_tuple()
+    if not (min(t) >= 0 and max(t) > 0):
+        issues.append(f"triple form: H1^3, H1^2.H2, H1.H2^2, H2^3 = {t} must be >= 0 and not all 0")
     for label, c2 in (("nef1", model.c2form.h1), ("nef2", model.c2form.h2)):
         if c2 < 0:
             issues.append(f"c2 form: negative against nef generator {label}")

@@ -58,7 +58,7 @@ class ModelFile:
             c2form=C2Form(*self.c2form),
             tau1=LatticeMap.from_flat(self.tau1) if self.tau1 else None,
             tau2=LatticeMap.from_flat(self.tau2) if self.tau2 else None,
-            sigma_direct=LatticeMap.from_flat(self.sigma) if self.sigma else None,
+            sigma=LatticeMap.from_flat(self.sigma) if self.sigma else None,
         )
 
     def ideal_paths(self) -> list[Path]:

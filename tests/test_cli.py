@@ -172,6 +172,29 @@ def test_derive_without_sources(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "ci",
+    [
+        {"dims": [0, 3], "degrees": [[1, 1], [1, 1], [2, 2]]},
+        {"dims": [], "degrees": [[]]},
+        {"dims": [3, 3], "degrees": [[0, 0], [1, 1]]},
+        {"dims": [1, 1], "degrees": [[1, 1], [1, 1], [1, 1]]},
+    ],
+)
+def test_derive_invalid_ci_block_is_one_error_line(tmp_path, ci):
+    """ci blocks the parser accepts but chow rejects: a P^0 factor, no
+    factor, a zero multidegree, more hypersurfaces than ambient dimensions."""
+    doc = json.loads(bundled_model_path("oguiso").read_text())
+    del doc["ideal_files"]
+    doc["ci"] = ci
+    path = tmp_path / "ci.model"
+    path.write_text(json.dumps(doc))
+    result = invoke("derive", str(path), "--out", str(tmp_path / "out.model"))
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: chow derivation failed: ")
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(out))

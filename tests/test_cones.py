@@ -52,6 +52,16 @@ def test_sigma_composition():
     assert m.sigma.apply(D(1, 0)) == D(-1, 8)
 
 
+def test_sigma_is_set_at_construction():
+    tri, c2, t1, t2 = TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
+    assert CYModel("ex41", tri, c2, t1, t2).sigma == t2 @ t1
+    assert CYModel("ex41", tri, c2, t1, t2, sigma=t2 @ t1) == model_ex41()
+    with pytest.raises(ValueError, match="differs from tau2.tau1"):
+        CYModel("ex41", tri, c2, t1, t2, sigma=t1 @ t2)
+    with pytest.raises(ValueError, match="neither involutions nor sigma"):
+        CYModel("none", tri, c2, None, None)
+
+
 def test_mat_pow():
     s = model_ex41().sigma
     assert s.pow(0) == LatticeMap.identity()
@@ -83,7 +93,7 @@ def test_validate_non_involution():
         "bad", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, -1)
     )
     issues = validate_model(bad)
-    assert any("not the identity" in v or "determinant" in v for v in issues)
+    assert any("tau2: determinant must be -1" in v for v in issues)
 
 
 def test_validate_chi_integrality():
@@ -101,26 +111,27 @@ def test_validate_ray_fixing():
 
 
 def test_validate_cubic_positivity():
-    # endpoints are positive but the section dips negative inside the cone
     bad = CYModel(
         "bad", TriForm(1, -50, -50, 1), C2Form(0, 0), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
     )
-    assert any("not positive" in v for v in validate_model(bad))
-    # on (1 - t, t) these cubics have a quadratic derivative with a critical
-    # point in (0, 1): rational at t = 1/3, irrational at 1 - 1/sqrt(3) and
-    # sqrt(2) - 1; the value there is negative for the first of each pair.
-    # The last pair is tight: zero at t = 1/2, and about 0.1 at the
-    # irrational t = (sqrt(41) - 4)/5
+    assert any("triple form" in v and "(1, -50, -50, 1)" in v for v in validate_model(bad))
+    # H1 and H2 are nef, so by Kleiman's criterion each product H1^i.H2^(3-i)
+    # is >= 0; (4, -1, -2, 6) has D^3 > 0 on the open nef cone, yet no
+    # threefold with this nef cone has H1^2.H2 = -1
     for form, positive in (
         ((1, -2, 1, 1), False),
         ((1, 0, 1, 1), True),
         ((1, -1, 0, 1), False),
         ((1, 0, 0, 2), True),
         ((2, -1, 0, 1), False),
-        ((4, -1, -2, 6), True),
+        ((4, -1, -2, 6), False),
+        ((3, -1, 2, 3), False),
+        ((0, 1, 0, 0), True),
+        ((1, 0, 0, 0), True),
+        ((0, 0, 0, 0), False),
     ):
         m = CYModel("m", TriForm(*form), C2Form(0, 0), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1))
-        assert any("not positive" in v for v in validate_model(m)) != positive, form
+        assert any("triple form" in v for v in validate_model(m)) != positive, form
 
 
 def test_validate_negative_c2():
@@ -163,13 +174,13 @@ def test_eigen_sigma_oguiso(oguiso):
 
 def test_eigen_sigma_rejects_finite_order():
     m = CYModel("rot", TriForm(2, 6, 8, 2), C2Form(44, 56), None, None,
-                sigma_direct=LatticeMap(0, -1, 1, 0))
+                sigma=LatticeMap(0, -1, 1, 0))
     with pytest.raises(ValueError):
         eigen_sigma(m)
 
 
 def _sigma_model(sigma):
-    return CYModel("s", TriForm(6, 3, 3, 6), C2Form(12, 12), None, None, sigma_direct=sigma)
+    return CYModel("s", TriForm(6, 3, 3, 6), C2Form(12, 12), None, None, sigma=sigma)
 
 
 @pytest.mark.parametrize(
