@@ -14,10 +14,10 @@ _EXPORTS = {
         "integrate", "intersection_data",
     ),
     "cones": (
-        "C2Form", "Cone2", "CYModel", "DivisorClass", "LatticeMap", "SigmaData", "TriForm",
-        "area_coordinate", "cone_contains", "cone_coords", "eigen_coords", "eigen_sigma",
-        "fundamental_domain", "in_open_movable", "movable_cone", "nef_problems",
-        "reduce_to_domain", "sigma_problems", "slope_coordinate", "validate_model",
+        "C2Form", "Cone2", "CYModel", "DivisorClass", "InvalidModel", "LatticeMap", "SigmaData",
+        "TriForm", "area_coordinate", "cone_contains", "cone_coords", "eigen_coords",
+        "eigen_sigma", "fundamental_domain", "in_open_movable", "movable_cone",
+        "reduce_to_domain", "slope_coordinate", "validate_model",
     ),
     "exact": ("QuadNum", "RadicandMismatch", "squarefree_decompose"),
     "growth": (

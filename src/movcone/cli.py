@@ -14,15 +14,7 @@ import time
 from pathlib import Path
 
 from . import models
-from .cones import (
-    DivisorClass,
-    Dynamics,
-    eigen_sigma,
-    fundamental_domain,
-    prepare,
-    reduce_to_domain,
-    validate_model,
-)
+from .cones import DivisorClass, Dynamics, prepare, reduce_to_domain
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -187,22 +179,14 @@ def verify(model_file: str, samples: int, seed: int):
             _echo(f"FAIL {name}: {problem}")
 
     try:
-        model = mf.to_cymodel()
+        dyn = prepare(mf.to_cymodel())
     except ValueError as exc:
-        report("model-invariants", str(exc))
-        sys.exit(EXIT_VALIDATION)
-
-    issues = validate_model(model)
-    if issues:
-        for issue in issues:
+        for issue in exc.args:
             report("model-invariants", issue)
         sys.exit(EXIT_VALIDATION)
     report("model-invariants", None)
-
-    s = eigen_sigma(model)
-    _echo(f"lambda = {s.eigenvalue}")
+    _echo(f"lambda = {dyn.sigma.eigenvalue}")
     report("eigen-analysis", None)
-    dyn = Dynamics(model, s, fundamental_domain(model, model.nef1 + model.nef2))
     report("fundamental-domain", None)
 
     rng = random.Random(seed)
@@ -216,7 +200,7 @@ def verify(model_file: str, samples: int, seed: int):
         ("cone-membership", properties.cone_membership, samples, False),
     )
     for name, suite, count, needs_involutions in suites:
-        if needs_involutions and not model.has_involutions:
+        if needs_involutions and not dyn.model.has_involutions:
             _echo(f"SKIP {name}: model has no birational involutions")
             continue
         report(name, suite(dyn, rng, count))

