@@ -349,8 +349,9 @@ def validate_model(model: CYModel) -> list[str]:
     for label, c2 in (("nef1", model.c2form.h1), ("nef2", model.c2form.h2)):
         if c2 < 0:
             issues.append(f"c2 form: negative against nef generator {label}")
-    for a in range(4):
-        for b in range(4):
+    # chi's third differences are the integers t_ijk, so a + b <= 2 decides Z^2
+    for a in range(3):
+        for b in range(3 - a):
             chi = model.chi(a, b)
             if chi.denominator != 1:
                 issues.append(f"chi integrality fails at {a}*nef1 + {b}*nef2 (chi = {chi})")

@@ -161,12 +161,7 @@ def rounddown_check(s: SigmaData, samples) -> RounddownReport:
     ratios: list[QuadNum] = []
     for D, ample in samples:
         _check_ample(ample)
-        floored = DivisorClass.from_ints(
-            D.p.floor() + ample.integer_coords()[0],
-            D.q.floor() + ample.integer_coords()[1],
-        )
-        real = DivisorClass(D.p + ample.p, D.q + ample.q)
-        ratio = area_coordinate(floored, s) / area_coordinate(real, s)
+        ratio = area_coordinate(floor_class(1, D, ample), s) / area_coordinate(D + ample, s)
         if ratio.compare(0) <= 0:
             raise ValueError(f"round-down area ratio not positive for {D}")
         ratios.append(ratio)

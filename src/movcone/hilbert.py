@@ -1,20 +1,19 @@
 """Bigraded Hilbert functions of explicit ideals by exact rank computation.
 
 Graded pieces of R/I are measured as (#monomials) - rank of the relation
-matrix, with the rank computed over two random 31-bit prime fields and
-cross-checked.  Linear generators are substituted away first (R/I = R'/I'
-with fewer variables).  The relation matrix is more than 99% zeros, so each
-row is a dict {column: coefficient}, and the elimination mod p follows the
-row order of F4's linear algebra (Faugere-Lachartre): shortest rows first,
-each reduced against monic pivot rows keyed by their highest column, which
-keeps the pivot rows sparse.  An exact linear fit then inverts the
-Euler-characteristic cubic to recover triple intersection numbers and
-c2-degrees.
+matrix, with the rank computed modulo both primes of a pair and
+cross-checked, over a fixed table of three prime pairs below 2^31.  Linear
+generators are substituted away first (R/I = R'/I' with fewer variables).
+The relation matrix is more than 99% zeros, so each row is a dict {column:
+coefficient}, and the elimination mod p follows the row order of F4's linear
+algebra (Faugere-Lachartre): shortest rows first, each reduced against monic
+pivot rows keyed by their highest column, which keeps the pivot rows sparse.
+An exact linear fit then inverts the Euler-characteristic cubic to recover
+triple intersection numbers and c2-degrees.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +27,14 @@ from .cones import C2Form, TriForm
 
 DEFAULT_DEGREE_CAP = 6
 
+# A prime gives a lower rank than Q exactly when it divides the gcd of the
+# matrix's maximal nonzero minors; a pair agrees wrongly only if both do.
+_PRIME_PAIRS = (
+    (2147483647, 2147483629),
+    (2147483587, 2147483579),
+    (2147483563, 2147483549),
+)
+
 
 class PolyParseError(ValueError):
     """Syntax or grading error in the generator grammar, with position."""
@@ -38,7 +45,7 @@ class PolyParseError(ValueError):
 
 
 class RankDisagreement(RuntimeError):
-    """Ranks over independently chosen prime fields kept disagreeing."""
+    """The two ranks of every prime pair disagreed."""
 
 
 class FitInconsistency(ValueError):
@@ -218,35 +225,6 @@ def _monomials(nvars: int, deg: int) -> tuple:
     return tuple(out)
 
 
-def _is_prime(n: int) -> bool:
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _random_prime(rng: random.Random) -> int:
-    while True:
-        c = rng.randrange((1 << 30) | 1, 1 << 31, 2)
-        if _is_prime(c):
-            return c
-
-
 def _rank_mod_p(rows: list[dict], p: int) -> int:
     """Rank over F_p of sparse integer rows {column: coefficient}.  Rows are
     reduced mod p and taken shortest first, each reduced against monic pivot
@@ -333,25 +311,20 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
             for yq in _monomials(ring.y_count, b - gb):
                 rows.append({xi[tuple(map(add, xe, xq))] * len(ym) + yi[tuple(map(add, ye, yq))]: c
                              for (xe, ye), c in g.terms})
-    for attempt in range(3):
-        rng = random.Random(f"hilbert-rank:{a}:{b}:{len(rows)}:{attempt}")
-        p1 = _random_prime(rng)
-        p2 = _random_prime(rng)
-        while p2 == p1:
-            p2 = _random_prime(rng)
+    for p1, p2 in _PRIME_PAIRS:
         r1 = _rank_mod_p(rows, p1)
         r2 = _rank_mod_p(rows, p2)
         if r1 == r2:
             return ncols - r1
     raise RankDisagreement(
-        f"rank at bidegree {bidegree} disagreed over three independent prime pairs"
+        f"rank at bidegree {bidegree} disagreed over three prime pairs"
     )
 
 
 def default_sample_grid(max_degree: int = 3) -> list[tuple[int, int]]:
     """Fit sample bidegrees: 1 <= a, b <= max_degree (so a + b >= 2)."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
+    if not 1 <= max_degree <= DEFAULT_DEGREE_CAP:
+        raise ValueError(f"max_degree must be between 1 and the cap {DEFAULT_DEGREE_CAP}, got {max_degree}")
     return [(a, b) for a in range(1, max_degree + 1) for b in range(1, max_degree + 1)]
 
 

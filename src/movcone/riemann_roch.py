@@ -20,7 +20,8 @@ class ChamberCoveringError(ValueError):
 
 def chi_nef(model: CYModel, D: DivisorClass) -> int:
     """chi(D) = D^3/6 + c2.D/12 for an integral nef class, exactly; an integer,
-    as every model has chi integral on {0..3}^2 and hence on all classes."""
+    as every model has chi integral at a*H1 + b*H2 with a, b >= 0 and
+    a + b <= 2, and hence on all classes."""
     if not D.is_integral:
         raise ValueError(f"chi requires an integral class, got {D}")
     if not cone_contains(model.nef_cone(), D):

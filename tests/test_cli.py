@@ -195,6 +195,18 @@ def test_derive_invalid_ci_block_is_one_error_line(tmp_path, ci):
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_derive_grid_past_the_cap_ranks_nothing(tmp_path, monkeypatch):
+    calls, real = [], movcone.hilbert.hilbert_dim
+    monkeypatch.setattr(movcone.hilbert, "hilbert_dim", lambda *args: calls.append(args) or real(*args))
+    result = invoke("derive", str(_stage(tmp_path, "oguiso")), "--grid", "7")
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: hilbert derivation failed: ")
+    assert "cap 6" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert calls == []
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(out))

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -8,6 +8,7 @@ from movcone import (
     FitInconsistency,
     IdealSpec,
     PolyParseError,
+    RankDisagreement,
     default_sample_grid,
     fit_chi,
     hilbert_dim,
@@ -16,7 +17,7 @@ from movcone import (
 )
 from movcone import C2Form, TriForm, hilbert, intersection_data
 from movcone.chow import CIData, MultiProjAmbient
-from movcone.hilbert import _is_prime, _random_prime, _rank_mod_p, _substitute_linear
+from movcone.hilbert import _PRIME_PAIRS, _rank_mod_p, _substitute_linear
 from fractions import Fraction
 from itertools import product
 import random
@@ -24,6 +25,7 @@ import random
 from test_acceptance import _pfaffian_model_expected
 
 RING46 = BiPolyRing(4, 6)
+PRIMES = [p for pair in _PRIME_PAIRS for p in pair]
 
 
 def test_parse_pluecker_quadric():
@@ -170,6 +172,13 @@ def test_default_sample_grid():
     grid = default_sample_grid(3)
     assert len(grid) == 9
     assert all(1 <= a and 1 <= b and a + b >= 2 for a, b in grid)
+    assert default_sample_grid(6)[-1] == (6, 6)
+
+
+@pytest.mark.parametrize("max_degree", [0, 7, 10**9])
+def test_default_sample_grid_rejects_degrees_past_the_cap(max_degree):
+    with pytest.raises(ValueError, match="cap 6"):
+        default_sample_grid(max_degree)
 
 
 def _sparse(matrix):
@@ -179,10 +188,7 @@ def _sparse(matrix):
 def test_rank_agrees_across_primes():
     rng = random.Random(3)
     base = _sparse([[rng.randint(-4, 4) for _ in range(30)] for _ in range(40)])
-    primes = set()
-    while len(primes) < 4:
-        primes.add(_random_prime(rng))
-    ranks = {_rank_mod_p(base, p) for p in primes}
+    ranks = {_rank_mod_p(base, p) for p in PRIMES}
     assert len(ranks) == 1
 
 
@@ -226,18 +232,44 @@ def test_rank_mod_p_matches_exact_rank_over_q(seed, kind):
     # become coefficients equal to p or 2^70 p that the rank must ignore
     rng = random.Random(f"{kind}:{seed}")
     matrix = _test_matrix(rng, kind)
-    p = _random_prime(rng)
+    p = rng.choice(PRIMES)
     lifted = [[v + p * rng.choice([0, 0, 1, -1, 1 << 70]) for v in row] for row in matrix]
     assert _rank_mod_p(_sparse(lifted), p) == _rank_over_q(matrix)
 
 
-def test_prime_generator():
-    rng = random.Random(0)
-    for _ in range(5):
-        p = _random_prime(rng)
-        assert p > 2**30 and _is_prime(p)
-    assert _is_prime(2**31 - 1)
-    assert not _is_prime(2**31 - 3)
+def test_prime_table():
+    # six distinct primes in (2^30, 2^31), by trial division up to sqrt(2^31)
+    assert len(set(PRIMES)) == 6
+    for p in PRIMES:
+        assert 2**30 < p < 2**31
+        assert p % 2 and all(p % d for d in range(3, isqrt(p) + 1, 2)), p
+
+
+def _scripted_ranks(monkeypatch, ranks):
+    """Make _rank_mod_p return ranks[p] and record the primes it saw."""
+    seen = []
+
+    def fake(rows, p):
+        seen.append(p)
+        return ranks[p]
+
+    monkeypatch.setattr(hilbert, "_rank_mod_p", fake)
+    return seen
+
+
+def test_rank_retries_with_the_next_pair(monkeypatch):
+    (p1, p2), (q1, q2), _ = _PRIME_PAIRS
+    seen = _scripted_ranks(monkeypatch, {p1: 10, p2: 9, q1: 7, q2: 7})
+    ncols = comb(2 + 3, 3) * comb(1 + 5, 5)  # monomials of bidegree (2, 1) over x=4, y=6
+    assert hilbert_dim(IdealSpec(RING46, ()), (2, 1)) == ncols - 7
+    assert seen == [p1, p2, q1, q2]
+
+
+def test_rank_disagreeing_on_every_pair_raises(monkeypatch):
+    seen = _scripted_ranks(monkeypatch, {p: i for i, p in enumerate(PRIMES)})
+    with pytest.raises(RankDisagreement, match=r"bidegree \(2, 1\)"):
+        hilbert_dim(IdealSpec(RING46, ()), (2, 1))
+    assert seen == PRIMES
 
 
 def test_coefficients_beyond_int64(oguiso_ideal):

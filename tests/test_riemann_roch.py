@@ -49,8 +49,8 @@ def test_chi_flags_broken_integrality():
 
 
 def test_chi_integral_everywhere_on_every_model():
-    # chi is a cubic, so integrality on {0..3}^2, checked at construction,
-    # gives integrality on all of Z^2
+    # chi is a cubic with integral third differences, so integrality on the
+    # six classes with a + b <= 2, checked at construction, gives it on Z^2
     rng = random.Random(2111)
     built = 0
     for _ in range(2000):
@@ -64,7 +64,7 @@ def test_chi_integral_everywhere_on_every_model():
         for p in range(-30, 31):
             for q in range(-30, 31):
                 assert m.chi(p, q).denominator == 1, (tri, c2, p, q)
-    assert built == 9  # about 0.5% of such data pass the {0..3}^2 check
+    assert built == 9  # about 0.5% of such data pass the a + b <= 2 check
 
 
 def test_h0_examples(ex41):
