@@ -1,15 +1,25 @@
 """Bigraded Hilbert functions of explicit ideals by exact rank computation.
 
 Graded pieces of R/I are measured as (#monomials) - rank of the relation
-matrix, with the rank computed modulo both primes of a pair and
-cross-checked, over a fixed table of three prime pairs below 2^31.  Linear
-generators are substituted away first (R/I = R'/I' with fewer variables).
-The relation matrix is more than 99% zeros, so each row is a dict {column:
-coefficient}, and the elimination mod p follows the row order of F4's linear
-algebra (Faugere-Lachartre): shortest rows first, each reduced against monic
-pivot rows keyed by their highest column, which keeps the pivot rows sparse.
-An exact linear fit then inverts the Euler-characteristic cubic to recover
-triple intersection numbers and c2-degrees.
+matrix.  Linear generators are substituted away first (R/I = R'/I' with
+fewer variables), once per ideal.  Each column is a monomial whose exponent
+vectors are packed into one integer per kind, in base a+1 (x) or b+1 (y): a
+degree-a exponent is at most a, so a generator term's key plus a
+multiplier's key is the product's key, with no carries.  The relation matrix
+is more than 99% zeros, so each row is a dict {column: coefficient}, and the
+elimination follows the row order of F4's linear algebra (Faugere-Lachartre):
+shortest rows first, each reduced against monic pivot rows keyed by their
+highest column, which keeps the pivot rows sparse.
+
+The rank is certified by one elimination modulo n = p*q for a pair of
+distinct primes below 2^31, from a fixed table of three pairs.  By the CRT,
+Z/n = F_p x F_q, so while every leading entry is a unit mod n the run is at
+once an elimination over F_p and one over F_q with the same pivots: the
+pivot count is the rank mod p and the rank mod q, and the two agree by
+construction.  A leading entry that is not a unit (one prime divides it)
+stops the run, and the next pair is tried.  An exact linear fit then inverts
+the Euler-characteristic cubic to recover triple intersection numbers and
+c2-degrees.
 """
 
 from __future__ import annotations
@@ -17,15 +27,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import comb, gcd
 from operator import add
 from pathlib import Path
 
 from .cones import C2Form, TriForm
 
 DEFAULT_DEGREE_CAP = 6
+# Largest graded piece hilbert_dim ranks, in monomials of the input ring;
+# example41 at (6, 6) has 38,808.
+MAX_PIECE_MONOMIALS = 200_000
 
 # A prime gives a lower rank than Q exactly when it divides the gcd of the
 # matrix's maximal nonzero minors; a pair agrees wrongly only if both do.
@@ -45,7 +58,9 @@ class PolyParseError(ValueError):
 
 
 class RankDisagreement(RuntimeError):
-    """The two ranks of every prime pair disagreed."""
+    """No prime pair certified the rank: each elimination modulo p*q met a
+    leading entry that is not a unit, where the ranks mod p and mod q may
+    differ."""
 
 
 class FitInconsistency(ValueError):
@@ -105,6 +120,12 @@ class IdealSpec:
                 raise ValueError("generator ring mismatch")
             if g.is_zero():
                 raise ValueError("zero generator")
+
+    @cached_property
+    def substituted(self) -> IdealSpec:
+        """The same quotient ring with the linear generators substituted away
+        (see _substitute_linear), computed once per ideal."""
+        return _substitute_linear(self)
 
 
 _FACTOR_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$")
@@ -215,32 +236,38 @@ def merge_ideals(*ideals: IdealSpec) -> IdealSpec:
 
 
 @lru_cache(maxsize=None)
-def _monomials(nvars: int, deg: int) -> tuple:
-    out = []
-    for combo in combinations_with_replacement(range(nvars), deg):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return tuple(out)
+def _monomials(nvars: int, deg: int, base: int) -> tuple[int, ...]:
+    """Degree-deg exponent vectors e over nvars variables, each packed as
+    sum e_i base^i, in combinations_with_replacement order."""
+    powers = [base**i for i in range(nvars)]
+    return tuple(sum(powers[i] for i in combo) for combo in combinations_with_replacement(range(nvars), deg))
 
 
-def _rank_mod_p(rows: list[dict], p: int) -> int:
-    """Rank over F_p of sparse integer rows {column: coefficient}.  Rows are
-    reduced mod p and taken shortest first, each reduced against monic pivot
-    rows keyed by their highest column, so the pivot rows stay sparse."""
+def _pack(exponents: tuple[int, ...], base: int) -> int:
+    return sum(e * base**i for i, e in enumerate(exponents))
+
+
+def _rank_mod(rows: list[dict], n: int) -> int | None:
+    """Rank of sparse integer rows {column: coefficient} modulo n, a prime or
+    a product of two distinct primes, or None once a leading entry is not a
+    unit mod n.  Rows are reduced mod n and taken shortest first, each
+    reduced against monic pivot rows keyed by their highest column, so the
+    pivot rows stay sparse.  A prime n never gives None."""
     pivots: dict[int, dict] = {}
-    for row in sorted(({c: v % p for c, v in r.items() if v % p} for r in rows), key=len):
+    for row in sorted(({c: v % n for c, v in r.items() if v % n} for r in rows), key=len):
         while row:
             c = max(row)
             pivot = pivots.get(c)
             if pivot is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                try:
+                    inv = pow(row[c], -1, n)
+                except ValueError:
+                    return None
+                pivots[c] = {k: v * inv % n for k, v in row.items()}
                 break
             f = row[c]
             for k, v in pivot.items():
-                w = (row.get(k, 0) - f * v) % p
+                w = (row.get(k, 0) - f * v) % n
                 if w:
                     row[k] = w
                 else:
@@ -294,30 +321,36 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
         raise ValueError(f"bidegree must be non-negative, got {bidegree}")
     if a > DEFAULT_DEGREE_CAP or b > DEFAULT_DEGREE_CAP:
         raise ValueError(f"bidegree {bidegree} exceeds the cap {DEFAULT_DEGREE_CAP}")
-    ideal = _substitute_linear(ideal)
+    size = comb(ideal.ring.x_count + a - 1, a) * comb(ideal.ring.y_count + b - 1, b)
+    if size > MAX_PIECE_MONOMIALS:
+        raise ValueError(
+            f"the bidegree {bidegree} piece has {size} monomials, more than {MAX_PIECE_MONOMIALS}"
+        )
+    ideal = ideal.substituted
     ring = ideal.ring
-    xm = _monomials(ring.x_count, a)
-    ym = _monomials(ring.y_count, b)
-    xi = {e: i for i, e in enumerate(xm)}
-    yi = {e: i for i, e in enumerate(ym)}
-    ncols = len(xm) * len(ym)
+    xi = {e: i for i, e in enumerate(_monomials(ring.x_count, a, a + 1))}
+    yi = {e: i for i, e in enumerate(_monomials(ring.y_count, b, b + 1))}
+    ny = len(yi)
+    ncols = len(xi) * ny
 
     rows = []
     for g in ideal.generators:
         ga, gb = g.bidegree
         if ga > a or gb > b:
             continue
-        for xq in _monomials(ring.x_count, a - ga):
-            for yq in _monomials(ring.y_count, b - gb):
-                rows.append({xi[tuple(map(add, xe, xq))] * len(ym) + yi[tuple(map(add, ye, yq))]: c
-                             for (xe, ye), c in g.terms})
-    for p1, p2 in _PRIME_PAIRS:
-        r1 = _rank_mod_p(rows, p1)
-        r2 = _rank_mod_p(rows, p2)
-        if r1 == r2:
-            return ncols - r1
+        gx = [_pack(xe, a + 1) for (xe, _), _ in g.terms]
+        gy = [_pack(ye, b + 1) for (_, ye), _ in g.terms]
+        coeffs = [c for _, c in g.terms]
+        ys = [[yi[k + yq] for k in gy] for yq in _monomials(ring.y_count, b - gb, b + 1)]
+        for xq in _monomials(ring.x_count, a - ga, a + 1):
+            xs = [xi[k + xq] * ny for k in gx]
+            rows.extend(dict(zip(map(add, xs, y), coeffs)) for y in ys)
+    for p, q in _PRIME_PAIRS:
+        rank = _rank_mod(rows, p * q)
+        if rank is not None:
+            return ncols - rank
     raise RankDisagreement(
-        f"rank at bidegree {bidegree} disagreed over three prime pairs"
+        f"rank at bidegree {bidegree} met a non-unit pivot modulo all three prime pairs"
     )
 
 

@@ -207,6 +207,17 @@ def test_derive_grid_past_the_cap_ranks_nothing(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_derive_huge_ring_is_one_error_line(tmp_path, monkeypatch):
+    # x=1000, y=1000 has a million monomials at (1, 1): refused before any is listed
+    monkeypatch.setattr(movcone.hilbert, "_monomials", lambda *args: pytest.fail("listed monomials"))
+    path = _stage(tmp_path, "oguiso")
+    (tmp_path / "oguiso_forms.ideal").write_text("ring x=1000 y=1000\nx0*y0\n")
+    result = invoke("derive", str(path), "--out", str(tmp_path / "out.model"))
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: hilbert derivation failed: the bidegree (1, 1) piece has 1000000 monomials")
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(out))

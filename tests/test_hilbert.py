@@ -17,7 +17,7 @@ from movcone import (
 )
 from movcone import C2Form, TriForm, hilbert, intersection_data
 from movcone.chow import CIData, MultiProjAmbient
-from movcone.hilbert import _PRIME_PAIRS, _rank_mod_p, _substitute_linear
+from movcone.hilbert import MAX_PIECE_MONOMIALS, _PRIME_PAIRS, _rank_mod, _substitute_linear
 from fractions import Fraction
 from itertools import product
 import random
@@ -188,7 +188,7 @@ def _sparse(matrix):
 def test_rank_agrees_across_primes():
     rng = random.Random(3)
     base = _sparse([[rng.randint(-4, 4) for _ in range(30)] for _ in range(40)])
-    ranks = {_rank_mod_p(base, p) for p in PRIMES}
+    ranks = {_rank_mod(base, p) for p in PRIMES}
     assert len(ranks) == 1
 
 
@@ -234,7 +234,45 @@ def test_rank_mod_p_matches_exact_rank_over_q(seed, kind):
     matrix = _test_matrix(rng, kind)
     p = rng.choice(PRIMES)
     lifted = [[v + p * rng.choice([0, 0, 1, -1, 1 << 70]) for v in row] for row in matrix]
-    assert _rank_mod_p(_sparse(lifted), p) == _rank_over_q(matrix)
+    assert _rank_mod(_sparse(lifted), p) == _rank_over_q(matrix)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "deficient"])
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_mod_pair_matches_exact_rank_over_q(seed, kind):
+    # one elimination modulo n = p*q; entries lifted by multiples of n
+    rng = random.Random(f"pair:{kind}:{seed}")
+    matrix = _test_matrix(rng, kind)
+    p, q = rng.choice(_PRIME_PAIRS)
+    lifted = [[v + p * q * rng.choice([0, 0, 1, -1, 1 << 70]) for v in row] for row in matrix]
+    rank = _rank_mod(_sparse(lifted), p * q)
+    assert rank is None or rank == _rank_over_q(matrix)
+
+
+def test_rank_mod_pair_is_none_or_the_rank_mod_both_primes():
+    # zero entries lifted by p alone are non-units mod p*q: a run either
+    # stops at one (None) or its pivot count is the rank mod p and mod q
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(f"crt:{seed}")
+        matrix = _test_matrix(rng, rng.choice(["dense", "sparse", "deficient"]))
+        p, q = rng.choice(_PRIME_PAIRS)
+        rows = _sparse([[v or p * rng.choice([0, 0, 1, 5]) for v in row] for row in matrix])
+        rank = _rank_mod(rows, p * q)
+        if rank is not None:
+            assert rank == _rank_mod(rows, p) == _rank_mod(rows, q), seed
+        outcomes.add(rank is None)
+    assert outcomes == {True, False}
+
+
+def test_non_unit_entry_moves_to_the_next_pair():
+    # 2147483647 is the first prime of pair 1 and a unit modulo pair 2
+    (p, q), (p2, q2), _ = _PRIME_PAIRS
+    assert _rank_mod([{0: p}], p * q) is None
+    assert _rank_mod([{0: p}], p2 * q2) == 1
+    ideal = parse_ideal_text(f"ring x=1 y=1\n{p}*x0*y0")
+    assert hilbert_dim(ideal, (1, 1)) == 0
+    assert hilbert_dim(ideal, (0, 0)) == 1
 
 
 def test_prime_table():
@@ -246,30 +284,31 @@ def test_prime_table():
 
 
 def _scripted_ranks(monkeypatch, ranks):
-    """Make _rank_mod_p return ranks[p] and record the primes it saw."""
+    """Make _rank_mod return ranks[n] (None for a pair that disagrees) and
+    record the moduli it saw."""
     seen = []
 
-    def fake(rows, p):
-        seen.append(p)
-        return ranks[p]
+    def fake(rows, n):
+        seen.append(n)
+        return ranks[n]
 
-    monkeypatch.setattr(hilbert, "_rank_mod_p", fake)
+    monkeypatch.setattr(hilbert, "_rank_mod", fake)
     return seen
 
 
 def test_rank_retries_with_the_next_pair(monkeypatch):
     (p1, p2), (q1, q2), _ = _PRIME_PAIRS
-    seen = _scripted_ranks(monkeypatch, {p1: 10, p2: 9, q1: 7, q2: 7})
+    seen = _scripted_ranks(monkeypatch, {p1 * p2: None, q1 * q2: 7})
     ncols = comb(2 + 3, 3) * comb(1 + 5, 5)  # monomials of bidegree (2, 1) over x=4, y=6
     assert hilbert_dim(IdealSpec(RING46, ()), (2, 1)) == ncols - 7
-    assert seen == [p1, p2, q1, q2]
+    assert seen == [p1 * p2, q1 * q2]
 
 
 def test_rank_disagreeing_on_every_pair_raises(monkeypatch):
-    seen = _scripted_ranks(monkeypatch, {p: i for i, p in enumerate(PRIMES)})
+    seen = _scripted_ranks(monkeypatch, {p * q: None for p, q in _PRIME_PAIRS})
     with pytest.raises(RankDisagreement, match=r"bidegree \(2, 1\)"):
         hilbert_dim(IdealSpec(RING46, ()), (2, 1))
-    assert seen == PRIMES
+    assert seen == [p * q for p, q in _PRIME_PAIRS]
 
 
 def test_coefficients_beyond_int64(oguiso_ideal):
@@ -311,16 +350,35 @@ def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
     # column count is the returned dimension plus the rank
     seen = set()
 
-    def spy(rows, p):
+    def spy(rows, n):
         assert all(0 <= c < 150 for row in rows for c in row)
-        rank = _rank_mod_p(rows, p)
+        rank = _rank_mod(rows, n)
         seen.add((len(rows), rank))
         return rank
 
-    monkeypatch.setattr(hilbert, "_rank_mod_p", spy)
+    monkeypatch.setattr(hilbert, "_rank_mod", spy)
     dim = hilbert_dim(ex41_ideal, (2, 2))
     assert dim == 80
     assert {(rows, rank + dim) for rows, rank in seen} == {(91, 150)}
+
+
+def test_substitution_runs_once_per_ideal(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hilbert, "_substitute_linear", lambda ideal: calls.append(ideal) or _substitute_linear(ideal))
+    ideal = parse_ideal_text("ring x=2 y=3\ny0 - y1\nx0*y2")
+    assert [hilbert_dim(ideal, bd) for bd in default_sample_grid(2)] == [3, 4, 4, 5]
+    assert calls == [ideal]
+
+
+def test_piece_past_the_monomial_bound_is_refused(monkeypatch):
+    # 1000 * 1000 monomials at (1, 1): refused before any substitution,
+    # monomial list or row is built
+    monkeypatch.setattr(hilbert, "_substitute_linear", lambda ideal: pytest.fail("substituted"))
+    monkeypatch.setattr(hilbert, "_monomials", lambda *args: pytest.fail("listed monomials"))
+    ideal = parse_ideal_text("ring x=1000 y=1000\nx0*y0")
+    with pytest.raises(ValueError, match=f"1000000 monomials, more than {MAX_PIECE_MONOMIALS}"):
+        hilbert_dim(ideal, (1, 1))
+    assert comb(4 + 6 - 1, 6) * comb(6 + 6 - 1, 6) < MAX_PIECE_MONOMIALS  # example41 at (6, 6)
 
 
 @pytest.mark.parametrize("name", ["example41", "oguiso"])
