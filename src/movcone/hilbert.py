@@ -11,14 +11,28 @@ elimination follows the row order of F4's linear algebra (Faugere-Lachartre):
 shortest rows first, each reduced against monic pivot rows keyed by their
 highest column, which keeps the pivot rows sparse.
 
+Rows that are multiples of Koszul syzygies are dropped before the
+elimination, the trivial half of Faugere's F5 criterion.  The generators are
+taken fewest terms first, and the row m*f_j is dropped when the multiplier m
+is divisible by the leading monomial LM(f_i) of an earlier generator f_i (its
+last sorted term; any monomial order would do).  The span over Q does not
+change: for m = LM(f_i)*t and c the leading coefficient of f_i,
+c*m*f_j = t*f_j*f_i - t*tail(f_i)*f_j, rows of f_i plus rows of f_j whose
+multipliers are smaller than m, so by induction on (j, m) every dropped row
+lies in the span of the kept ones.  Taking the sparse generators first drops
+rows of the denser ones and keeps the pivot rows sparse.
+
 The rank is certified by one elimination modulo n = p*q for a pair of
 distinct primes below 2^31, from a fixed table of three pairs.  By the CRT,
 Z/n = F_p x F_q, so while every leading entry is a unit mod n the run is at
 once an elimination over F_p and one over F_q with the same pivots: the
 pivot count is the rank mod p and the rank mod q, and the two agree by
 construction.  A leading entry that is not a unit (one prime divides it)
-stops the run, and the next pair is tried.  An exact linear fit then inverts
-the Euler-characteristic cubic to recover triple intersection numbers and
+stops the run, and the next pair is tried.  A prime that divides a leading
+coefficient c may see a lower rank of the kept rows than of all rows; like
+a prime that divides the minors, it is caught unless the other prime of its
+pair loses the same rank.  An exact linear fit then inverts the
+Euler-characteristic cubic to recover triple intersection numbers and
 c2-degrees.
 """
 
@@ -201,7 +215,9 @@ _RING_RE = re.compile(r"^ring\s+x=(\d+)\s+y=(\d+)\s*$")
 
 def parse_ideal_text(text: str) -> IdealSpec:
     """Ideal file: header "ring x=<n> y=<m>", then one generator per line.
-    Blank lines and '#' comment lines are skipped."""
+    Blank lines and '#' comment lines are skipped.  A header with n*m above
+    MAX_PIECE_MONOMIALS is refused before any generator is parsed: no piece
+    of bidegree (a, b) with a, b >= 1 could be ranked over that ring."""
     ring = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -213,6 +229,12 @@ def parse_ideal_text(text: str) -> IdealSpec:
             if not m:
                 raise ValueError(f"line {lineno}: expected header 'ring x=<n> y=<m>'")
             ring = BiPolyRing(int(m.group(1)), int(m.group(2)))
+            size = ring.x_count * ring.y_count
+            if size > MAX_PIECE_MONOMIALS:
+                raise ValueError(
+                    f"line {lineno}: ring x={ring.x_count} y={ring.y_count} has {size} "
+                    f"monomials of bidegree (1, 1), more than {MAX_PIECE_MONOMIALS}"
+                )
             continue
         try:
             gens.append(parse_poly(line, ring))
@@ -334,17 +356,28 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
     ncols = len(xi) * ny
 
     rows = []
-    for g in ideal.generators:
+    leads = []  # (bidegree, x key, y key) of the leading monomial of each earlier generator
+    for g in sorted(ideal.generators, key=lambda g: len(g.terms)):
         ga, gb = g.bidegree
         if ga > a or gb > b:
             continue
         gx = [_pack(xe, a + 1) for (xe, _), _ in g.terms]
         gy = [_pack(ye, b + 1) for (_, ye), _ in g.terms]
         coeffs = [c for _, c in g.terms]
-        ys = [[yi[k + yq] for k in gy] for yq in _monomials(ring.y_count, b - gb, b + 1)]
+        # skip[x key] = y keys of the multipliers LM(f_i)*t of the earlier
+        # generators f_i: those rows lie in the span of the kept rows
+        skip: dict[int, set[int]] = {}
+        for (la, lb), lx, ly in leads:
+            if la <= a - ga and lb <= b - gb:
+                tys = [ly + t for t in _monomials(ring.y_count, b - gb - lb, b + 1)]
+                for t in _monomials(ring.x_count, a - ga - la, a + 1):
+                    skip.setdefault(lx + t, set()).update(tys)
+        leads.append(((ga, gb), gx[-1], gy[-1]))
+        ys = [(yq, [yi[k + yq] for k in gy]) for yq in _monomials(ring.y_count, b - gb, b + 1)]
         for xq in _monomials(ring.x_count, a - ga, a + 1):
             xs = [xi[k + xq] * ny for k in gx]
-            rows.extend(dict(zip(map(add, xs, y), coeffs)) for y in ys)
+            skipped = skip.get(xq, ())
+            rows.extend(dict(zip(map(add, xs, y), coeffs)) for yq, y in ys if yq not in skipped)
     for p, q in _PRIME_PAIRS:
         rank = _rank_mod(rows, p * q)
         if rank is not None:

@@ -207,15 +207,26 @@ def test_derive_grid_past_the_cap_ranks_nothing(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_derive_huge_ring_is_one_error_line(tmp_path, monkeypatch):
-    # x=1000, y=1000 has a million monomials at (1, 1): refused before any is listed
-    monkeypatch.setattr(movcone.hilbert, "_monomials", lambda *args: pytest.fail("listed monomials"))
+def test_derive_huge_ring_is_one_error_line(tmp_path):
+    # x=100, y=100 passes the header bound and ranks (1, 1), but its (1, 2)
+    # piece has 100 * 5050 monomials: refused before it is built
     path = _stage(tmp_path, "oguiso")
-    (tmp_path / "oguiso_forms.ideal").write_text("ring x=1000 y=1000\nx0*y0\n")
+    (tmp_path / "oguiso_forms.ideal").write_text("ring x=100 y=100\nx0*y0\n")
     result = invoke("derive", str(path), "--out", str(tmp_path / "out.model"))
     assert result.exit_code == 2, result.output
-    assert result.stderr.startswith("error: hilbert derivation failed: the bidegree (1, 1) piece has 1000000 monomials")
+    assert result.stderr.startswith("error: hilbert derivation failed: the bidegree (1, 2) piece has 505000 monomials")
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_derive_ring_header_past_the_bound_is_one_error_line(tmp_path, monkeypatch):
+    # x*y = 10^6 monomials at (1, 1): refused at the header, no generator parsed
+    monkeypatch.setattr(movcone.hilbert, "parse_poly", lambda *args: pytest.fail("parsed a generator"))
+    path = _stage(tmp_path, "oguiso")
+    (tmp_path / "oguiso_forms.ideal").write_text("ring x=1000000 y=1\n" + "x0*y0 + x1*y0 + x2*y0 + x3*y0\n" * 10)
+    result = invoke("derive", str(path), "--out", str(tmp_path / "out.model"))
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error: ideal files: line 1: ring x=1000000 y=1 has 1000000 monomials of bidegree (1, 1), more than 200000\n"
+    assert not (tmp_path / "out.model").exists()
 
 
 def test_sweep_cli(tmp_path):

@@ -346,8 +346,10 @@ def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
     assert len(sub.generators) == 6
     assert not any(g.bidegree in ((1, 0), (0, 1)) for g in sub.generators)
     # and hilbert_dim ranks that ideal's matrix: at (2,2), 10 + 4*20 + 1 rows
-    # by 10*15 monomials, where the input ideal would give 167 x 210; the
-    # column count is the returned dimension plus the rank
+    # by 10*15 monomials, where the input ideal would give 167 x 210, less
+    # the 1 + 2 + 3 rows m*f_j of the (1,1) generators whose multiplier m is
+    # the leading monomial of an earlier (1,1) generator; the column count is
+    # the returned dimension plus the rank
     seen = set()
 
     def spy(rows, n):
@@ -359,7 +361,7 @@ def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
     monkeypatch.setattr(hilbert, "_rank_mod", spy)
     dim = hilbert_dim(ex41_ideal, (2, 2))
     assert dim == 80
-    assert {(rows, rank + dim) for rows, rank in seen} == {(91, 150)}
+    assert {(rows, rank + dim) for rows, rank in seen} == {(85, 150)}
 
 
 def test_substitution_runs_once_per_ideal(monkeypatch):
@@ -375,10 +377,60 @@ def test_piece_past_the_monomial_bound_is_refused(monkeypatch):
     # monomial list or row is built
     monkeypatch.setattr(hilbert, "_substitute_linear", lambda ideal: pytest.fail("substituted"))
     monkeypatch.setattr(hilbert, "_monomials", lambda *args: pytest.fail("listed monomials"))
-    ideal = parse_ideal_text("ring x=1000 y=1000\nx0*y0")
+    ring = BiPolyRing(1000, 1000)
+    ideal = IdealSpec(ring, (parse_poly("x0*y0", ring),))
     with pytest.raises(ValueError, match=f"1000000 monomials, more than {MAX_PIECE_MONOMIALS}"):
         hilbert_dim(ideal, (1, 1))
     assert comb(4 + 6 - 1, 6) * comb(6 + 6 - 1, 6) < MAX_PIECE_MONOMIALS  # example41 at (6, 6)
+
+
+def test_ring_header_past_the_bound_is_refused(monkeypatch):
+    # x*y monomials of bidegree (1, 1) above the bound: refused at the
+    # header, before any generator is parsed
+    assert parse_ideal_text("ring x=400 y=500").ring == BiPolyRing(400, 500)
+    monkeypatch.setattr(hilbert, "parse_poly", lambda *args: pytest.fail("parsed a generator"))
+    for header, size in [("ring x=1000000 y=1", 1000000), ("ring x=401 y=500", 200500)]:
+        with pytest.raises(ValueError, match=rf"^line 2: {header} has {size} monomials of bidegree \(1, 1\), "
+                                             f"more than {MAX_PIECE_MONOMIALS}$"):
+            parse_ideal_text(f"# comment\n{header}\n" + "x0*y0 + x1*y0\n" * 10)
+
+
+def _record_ranks(monkeypatch):
+    """Wrap _rank_mod to record (row count, modulus, rank) of each call."""
+    seen = []
+
+    def spy(rows, n):
+        rank = _rank_mod(rows, n)
+        seen.append((len(rows), n, rank))
+        return rank
+
+    monkeypatch.setattr(hilbert, "_rank_mod", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["example41", "oguiso", "three-quadrics"])
+def test_dropped_rows_keep_the_rank(name, ex41_ideal, oguiso_ideal):
+    # the multiples of earlier leading monomials that hilbert_dim drops lie
+    # in the span of the rows it keeps; on the three quadrics, keying them on
+    # the middle term of each generator instead loses a rank at (3, 2)
+    ideal = {
+        "example41": ex41_ideal,
+        "oguiso": oguiso_ideal,
+        "three-quadrics": parse_ideal_text(
+            "ring x=2 y=2\nx1^2 + x0*x1 + x0^2\n-y1^2 + y0*y1 + 2*y0^2\nx1^2 - x0*x1 + x0^2"
+        ),
+    }[name]
+    for a, b in product(range(5), repeat=2):
+        ncols, rows = _all_rows(ideal.substituted, a, b)
+        assert hilbert_dim(ideal, (a, b)) == ncols - _rank_mod(rows, PRIMES[0]), (a, b)
+
+
+def test_example41_4x4_ranks_2347_rows(ex41_ideal, monkeypatch):
+    # 3475 rows without the criterion, of rank 1906 over 2450 columns
+    seen = _record_ranks(monkeypatch)
+    assert hilbert_dim(ex41_ideal, (4, 4)) == 544
+    p, q = _PRIME_PAIRS[0]
+    assert seen == [(2347, p * q, 1906)]
 
 
 @pytest.mark.parametrize("name", ["example41", "oguiso"])
@@ -401,33 +453,42 @@ def _exponents(n, d):
     return [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
 
 
-def _dim_over_q(ideal, a, b):
-    """Monomials minus the rank over Q of the unsubstituted relation matrix,
-    by exact echelon reduction of sparse Fraction rows."""
+def _all_rows(ideal, a, b):
+    """Column count and every row m*g {column: coefficient} of the relation
+    matrix, in generator order, with no row dropped."""
     ring = ideal.ring
     cols = list(product(_exponents(ring.x_count, a), _exponents(ring.y_count, b)))
     index = {c: i for i, c in enumerate(cols)}
-    pivots = {}  # column -> reduced row with 1 there
+    rows = []
     for g in ideal.generators:
         ga, gb = g.bidegree
         if ga > a or gb > b:
             continue
         for xq, yq in product(_exponents(ring.x_count, a - ga), _exponents(ring.y_count, b - gb)):
-            row = {}
-            for (xe, ye), c in g.terms:
-                key = (tuple(map(sum, zip(xe, xq))), tuple(map(sum, zip(ye, yq))))
-                row[index[key]] = Fraction(c)
-            while row:
-                col = min(row)
-                if col not in pivots:
-                    pivots[col] = {k: v / row[col] for k, v in row.items()}
-                    break
-                f = row[col]
-                for k, v in pivots[col].items():
-                    row[k] = row.get(k, 0) - f * v
-                    if not row[k]:
-                        del row[k]
-    return len(cols) - len(pivots)
+            rows.append({
+                index[tuple(map(sum, zip(xe, xq))), tuple(map(sum, zip(ye, yq)))]: c for (xe, ye), c in g.terms
+            })
+    return len(cols), rows
+
+
+def _dim_over_q(ideal, a, b):
+    """Monomials minus the rank over Q of the unsubstituted relation matrix,
+    by exact echelon reduction of sparse Fraction rows."""
+    ncols, rows = _all_rows(ideal, a, b)
+    pivots = {}  # column -> reduced row with 1 there
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items()}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                pivots[col] = {k: v / row[col] for k, v in row.items()}
+                break
+            f = row[col]
+            for k, v in pivots[col].items():
+                row[k] = row.get(k, 0) - f * v
+                if not row[k]:
+                    del row[k]
+    return ncols - len(pivots)
 
 
 def _random_ideal(rng):
@@ -455,3 +516,14 @@ def test_hilbert_dim_matches_exact_rank_over_q(seed):
     ideal = _random_ideal(random.Random(seed))
     for a, b in product(range(4), repeat=2):
         assert hilbert_dim(ideal, (a, b)) == _dim_over_q(ideal, a, b), (a, b)
+
+
+def test_leading_coefficient_divisible_by_a_prime_moves_to_the_next_pair(monkeypatch):
+    # modulo p the first generator's leading term x0*y0 vanishes, so the row
+    # x0*y0*f_2 that the criterion drops is not in the span of the kept rows
+    # mod p: pair 1 disagrees and pair 2 certifies the rank over Q
+    (p, q), (p2, q2), _ = _PRIME_PAIRS
+    ideal = parse_ideal_text(f"ring x=2 y=1\n{p}*x0*y0 + x1*y0\nx0*y0 + 2*x1*y0")
+    seen = _record_ranks(monkeypatch)
+    assert hilbert_dim(ideal, (2, 2)) == 0 == _dim_over_q(ideal, 2, 2)
+    assert seen == [(3, p * q, None), (3, p2 * q2, 3)]
