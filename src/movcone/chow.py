@@ -5,22 +5,19 @@ exact integration of zero-cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cones import C2Form, TriForm
+from .cones import C2Form, TriForm, _Value
 
 
-@dataclass(frozen=True)
-class MultiProjAmbient:
+class MultiProjAmbient(_Value):
     """Product P^{n1} x ... x P^{nk}, k >= 1, all ni >= 1."""
 
-    factor_dims: tuple[int, ...]
+    __slots__ = ("factor_dims",)
 
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.factor_dims)
-        object.__setattr__(self, "factor_dims", dims)
+    def __init__(self, factor_dims: tuple[int, ...]):
+        dims = tuple(int(n) for n in factor_dims)
         if not dims or any(n < 1 for n in dims):
             raise ValueError(f"invalid factor dimensions {dims}")
+        self._init(dims)
 
     @property
     def k(self) -> int:
@@ -132,21 +129,19 @@ class TruncPoly:
         return "TruncPoly(" + " + ".join(terms) + ")"
 
 
-@dataclass(frozen=True)
-class CIData:
+class CIData(_Value):
     """Complete intersection cut out by hypersurfaces of the given multidegrees."""
 
-    ambient: MultiProjAmbient
-    degrees: tuple[tuple[int, ...], ...]
+    __slots__ = ("ambient", "degrees")
 
-    def __post_init__(self):
-        degs = tuple(tuple(int(x) for x in d) for d in self.degrees)
-        object.__setattr__(self, "degrees", degs)
+    def __init__(self, ambient: MultiProjAmbient, degrees: tuple[tuple[int, ...], ...]):
+        degs = tuple(tuple(int(x) for x in d) for d in degrees)
         for d in degs:
-            if len(d) != self.ambient.k:
-                raise ValueError(f"multidegree {d} does not match ambient with {self.ambient.k} factors")
+            if len(d) != ambient.k:
+                raise ValueError(f"multidegree {d} does not match ambient with {ambient.k} factors")
             if any(x < 0 for x in d) or not any(d):
                 raise ValueError(f"invalid multidegree {d}")
+        self._init(ambient, degs)
         if self.dim < 0:
             raise ValueError("more hypersurfaces than ambient dimensions")
 

@@ -14,9 +14,7 @@ basis, so a map with t(H2) = 6*H1 - H2 has matrix [[1, 6], [0, -1]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
 from .exact import QuadNum, squarefree_decompose
 
@@ -24,13 +22,52 @@ SIGMA = "sigma"
 SIGMA_INV = "sigma_inv"
 TAU2 = "tau2"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class DivisorClass:
+
+class _Value:
+    """Base of the value types.  A subclass names its fields in __slots__ (a
+    slot whose name starts with "_" is no field), and its __init__ passes
+    their values, in that order, to _init.  Equal means the same class with
+    equal fields, the hash is that of the field tuple, and assigning to an
+    attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class DivisorClass(_Value):
     """Class p*H1 + q*H2 with exact (possibly irrational) coordinates."""
 
-    p: QuadNum
-    q: QuadNum
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: QuadNum, q: QuadNum):  # built on every step: no _init loop
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     @classmethod
     def from_ints(cls, p: int, q: int) -> DivisorClass:
@@ -101,14 +138,13 @@ def coord_signs(r1, r2, D) -> tuple[int, int]:
     return o * _sign(det2(D, r2)), o * _sign(det2(r1, D))
 
 
-@dataclass(frozen=True)
-class TriForm:
+class TriForm(_Value):
     """Symmetric trilinear intersection form via its values on H1, H2."""
 
-    t111: int
-    t112: int
-    t122: int
-    t222: int
+    __slots__ = ("t111", "t112", "t122", "t222")
+
+    def __init__(self, t111: int, t112: int, t122: int, t222: int):
+        self._init(t111, t112, t122, t222)
 
     def cube(self, p, q):
         """D^3 for D = p*H1 + q*H2; works for int, Fraction or QuadNum."""
@@ -123,12 +159,13 @@ class TriForm:
         return (self.t111, self.t112, self.t122, self.t222)
 
 
-@dataclass(frozen=True)
-class C2Form:
+class C2Form(_Value):
     """Linear form D -> c2(X).D via its values on H1, H2."""
 
-    h1: int
-    h2: int
+    __slots__ = ("h1", "h2")
+
+    def __init__(self, h1: int, h2: int):
+        self._init(h1, h2)
 
     def pair(self, p, q):
         return self.h1 * p + self.h2 * q
@@ -137,18 +174,15 @@ class C2Form:
         return (self.h1, self.h2)
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(_Value):
     """Integer 2x2 matrix [[a, b], [c, d]] acting on (p, q) coordinates."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.det() == 0:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d == b * c:
             raise ValueError("lattice map must be invertible")
+        self._init(a, b, c, d)
 
     @classmethod
     def identity(cls) -> LatticeMap:
@@ -204,16 +238,15 @@ class LatticeMap:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class Cone2:
+class Cone2(_Value):
     """Closed 2-dimensional cone spanned by two non-proportional rays."""
 
-    ray1: DivisorClass
-    ray2: DivisorClass
+    __slots__ = ("ray1", "ray2")
 
-    def __post_init__(self):
-        if not det2(self.ray1, self.ray2):
+    def __init__(self, ray1: DivisorClass, ray2: DivisorClass):
+        if not det2(ray1, ray2):
             raise ValueError("cone rays must be non-proportional")
+        self._init(ray1, ray2)
 
 
 def cone_coords(cone: Cone2, D: DivisorClass) -> tuple[QuadNum, QuadNum]:
@@ -236,8 +269,7 @@ class InvalidModel(ValueError):
         return "; ".join(self.args)
 
 
-@dataclass(frozen=True)
-class CYModel:
+class CYModel(_Value):
     """Intersection data plus the lattice action of the birational group.
 
     The nef cone is spanned by the basis classes nef1 = H1 and nef2 = H2;
@@ -247,25 +279,29 @@ class CYModel:
     InvalidModel on any issue, so every CYModel satisfies its invariants.
     """
 
-    name: str
-    triform: TriForm
-    c2form: C2Form
-    tau1: LatticeMap | None
-    tau2: LatticeMap | None
-    sigma: LatticeMap | None = None
-    nef1: ClassVar[DivisorClass] = DivisorClass(QuadNum(1), QuadNum(0))
-    nef2: ClassVar[DivisorClass] = DivisorClass(QuadNum(0), QuadNum(1))
+    __slots__ = ("name", "triform", "c2form", "tau1", "tau2", "sigma")
+    nef1 = DivisorClass(QuadNum(1), QuadNum(0))
+    nef2 = DivisorClass(QuadNum(0), QuadNum(1))
 
-    def __post_init__(self):
-        if (self.tau1 is None) != (self.tau2 is None):
+    def __init__(
+        self,
+        name: str,
+        triform: TriForm,
+        c2form: C2Form,
+        tau1: LatticeMap | None,
+        tau2: LatticeMap | None,
+        sigma: LatticeMap | None = None,
+    ):
+        if (tau1 is None) != (tau2 is None):
             raise InvalidModel("tau1 and tau2 must be given together")
-        if self.has_involutions:
-            sig = self.tau2 @ self.tau1
-            if self.sigma not in (None, sig):
-                raise InvalidModel(f"sigma {self.sigma.flat()} differs from tau2.tau1 = {sig.flat()}")
-            object.__setattr__(self, "sigma", sig)
-        elif self.sigma is None:
+        if tau1 is not None:
+            sig = tau2 @ tau1
+            if sigma not in (None, sig):
+                raise InvalidModel(f"sigma {sigma.flat()} differs from tau2.tau1 = {sig.flat()}")
+            sigma = sig
+        elif sigma is None:
             raise InvalidModel("model defines neither involutions nor sigma")
+        self._init(name, triform, c2form, tau1, tau2, sigma)
         issues = validate_model(self)
         if issues:
             raise InvalidModel(*issues)
@@ -282,8 +318,7 @@ class CYModel:
         return Fraction(2 * self.triform.cube(p, q) + self.c2form.pair(p, q), 12)
 
 
-@dataclass(frozen=True)
-class SigmaData:
+class SigmaData(_Value):
     """Exact eigen-analysis of the infinite-order isometry.
 
     ray1 is the expanding eigenray (eigenvalue > 1), ray2 the contracting
@@ -292,12 +327,18 @@ class SigmaData:
     basis, wi . rayj = [i == j], so the eigen-coordinates of D are wi . D.
     """
 
-    eigenvalue: QuadNum
-    eigenvalue_inv: QuadNum
-    ray1: DivisorClass
-    ray2: DivisorClass
-    d: int
-    dual: tuple[DivisorClass, DivisorClass]
+    __slots__ = ("eigenvalue", "eigenvalue_inv", "ray1", "ray2", "d", "dual")
+
+    def __init__(
+        self,
+        eigenvalue: QuadNum,
+        eigenvalue_inv: QuadNum,
+        ray1: DivisorClass,
+        ray2: DivisorClass,
+        d: int,
+        dual: tuple[DivisorClass, DivisorClass],
+    ):
+        self._init(eigenvalue, eigenvalue_inv, ray1, ray2, d, dual)
 
 
 def _same_open_cone(u, su, w, sw) -> bool:
@@ -446,13 +487,13 @@ def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
     return Cone2(sig.inverse().apply(model.nef1), model.nef1)
 
 
-@dataclass(frozen=True)
-class Dynamics:
+class Dynamics(_Value):
     """A validated model with its eigen-analysis and fundamental domain."""
 
-    model: CYModel
-    sigma: SigmaData
-    pi: Cone2
+    __slots__ = ("model", "sigma", "pi")
+
+    def __init__(self, model: CYModel, sigma: SigmaData, pi: Cone2):
+        self._init(model, sigma, pi)
 
 
 def prepare(model: CYModel) -> Dynamics:

@@ -6,7 +6,6 @@ double precision."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import (
@@ -14,6 +13,7 @@ from .cones import (
     CYModel,
     DivisorClass,
     SigmaData,
+    _Value,
     area_coordinate,
     eigen_coords,
     in_open_movable,
@@ -25,8 +25,7 @@ CSV_HEADER = "m,p,q,h0,l1_approx,word_len,skipped"
 L1_DIGITS = 30  # significant digits of l1_approx in the CSV
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(_Value):
     """One row of the growth experiment.
 
     l1 is the invariant area of the exact (un-floored) class m*ray + A.
@@ -34,28 +33,24 @@ class SweepRecord:
     skipped=True and a zero section count.
     """
 
-    m: int
-    floored: DivisorClass
-    h0: int
-    l1: QuadNum
-    word_length: int
-    skipped: bool = False
+    __slots__ = ("m", "floored", "h0", "l1", "word_length", "skipped")
+
+    def __init__(self, m: int, floored: DivisorClass, h0: int, l1: QuadNum, word_length: int, skipped: bool = False):
+        self._init(m, floored, h0, l1, word_length, skipped)
 
 
-@dataclass(frozen=True)
-class FitReport:
-    slope: float
-    intercept: float
-    residual: float
-    band_min: float
-    band_max: float
+class FitReport(_Value):
+    __slots__ = ("slope", "intercept", "residual", "band_min", "band_max")
+
+    def __init__(self, slope: float, intercept: float, residual: float, band_min: float, band_max: float):
+        self._init(slope, intercept, residual, band_min, band_max)
 
 
-@dataclass(frozen=True)
-class RounddownReport:
-    ratios: tuple[float, ...]
-    ratio_min: float
-    ratio_max: float
+class RounddownReport(_Value):
+    __slots__ = ("ratios", "ratio_min", "ratio_max")
+
+    def __init__(self, ratios: tuple[float, ...], ratio_min: float, ratio_max: float):
+        self._init(ratios, ratio_min, ratio_max)
 
 
 def floor_class(m: int, ray: DivisorClass, ample: DivisorClass) -> DivisorClass:

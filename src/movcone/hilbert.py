@@ -39,7 +39,6 @@ c2-degrees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
@@ -47,7 +46,7 @@ from math import comb, gcd
 from operator import add
 from pathlib import Path
 
-from .cones import C2Form, TriForm
+from .cones import C2Form, TriForm, _Value
 
 DEFAULT_DEGREE_CAP = 6
 # Largest graded piece hilbert_dim ranks, in monomials of the input ring;
@@ -81,32 +80,30 @@ class FitInconsistency(ValueError):
     """Hilbert samples do not lie on a single Euler cubic."""
 
 
-@dataclass(frozen=True)
-class BiPolyRing:
+class BiPolyRing(_Value):
     """Polynomial ring with x-variables of bidegree (1,0), y-variables (0,1)."""
 
-    x_count: int
-    y_count: int
+    __slots__ = ("x_count", "y_count")
 
-    def __post_init__(self):
-        if self.x_count < 1 or self.y_count < 1:
+    def __init__(self, x_count: int, y_count: int):
+        if x_count < 1 or y_count < 1:
             raise ValueError("variable counts must be at least 1")
+        self._init(x_count, y_count)
 
 
-@dataclass(frozen=True)
-class BiPoly:
+class BiPoly(_Value):
     """Bihomogeneous polynomial: map (x-exponents, y-exponents) -> coefficient."""
 
-    ring: BiPolyRing
-    terms: tuple
+    __slots__ = ("ring", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
-        degs = {(sum(xe), sum(ye)) for (xe, ye), _ in self.terms}
+    def __init__(self, ring: BiPolyRing, terms: tuple):
+        terms = tuple(sorted(terms))
+        degs = {(sum(xe), sum(ye)) for (xe, ye), _ in terms}
         if len(degs) > 1:
             raise ValueError(f"not bihomogeneous: bidegrees {sorted(degs)}")
-        if any(not c for _, c in self.terms):
+        if any(not c for _, c in terms):
             raise ValueError("zero coefficients must not be stored")
+        self._init(ring, terms)
 
     @classmethod
     def from_dict(cls, ring: BiPolyRing, d: dict) -> BiPoly:
@@ -123,17 +120,16 @@ class BiPoly:
         return not self.terms
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    ring: BiPolyRing
-    generators: tuple[BiPoly, ...]
+class IdealSpec(_Value):
+    __slots__ = ("ring", "generators", "__dict__")  # __dict__ holds the cached property
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.ring != self.ring:
+    def __init__(self, ring: BiPolyRing, generators: tuple[BiPoly, ...]):
+        for g in generators:
+            if g.ring != ring:
                 raise ValueError("generator ring mismatch")
             if g.is_zero():
                 raise ValueError("zero generator")
+        self._init(ring, generators)
 
     @cached_property
     def substituted(self) -> IdealSpec:
@@ -224,21 +220,21 @@ def parse_ideal_text(text: str) -> IdealSpec:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if ring is None:
-            m = _RING_RE.match(line)
-            if not m:
-                raise ValueError(f"line {lineno}: expected header 'ring x=<n> y=<m>'")
-            ring = BiPolyRing(int(m.group(1)), int(m.group(2)))
-            size = ring.x_count * ring.y_count
-            if size > MAX_PIECE_MONOMIALS:
-                raise ValueError(
-                    f"line {lineno}: ring x={ring.x_count} y={ring.y_count} has {size} "
-                    f"monomials of bidegree (1, 1), more than {MAX_PIECE_MONOMIALS}"
-                )
-            continue
         try:
-            gens.append(parse_poly(line, ring))
-        except PolyParseError as exc:
+            if ring is not None:
+                gens.append(parse_poly(line, ring))
+            elif not (m := _RING_RE.match(line)):
+                raise ValueError("expected header 'ring x=<n> y=<m>'")
+            else:
+                # int() refuses a count past the interpreter's digit limit
+                ring = BiPolyRing(int(m.group(1)), int(m.group(2)))
+                size = ring.x_count * ring.y_count
+                if size > MAX_PIECE_MONOMIALS:
+                    raise ValueError(
+                        f"ring x={ring.x_count} y={ring.y_count} has {size} "
+                        f"monomials of bidegree (1, 1), more than {MAX_PIECE_MONOMIALS}"
+                    )
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if ring is None:
         raise ValueError("missing ring header")

@@ -11,10 +11,9 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cones import C2Form, CYModel, LatticeMap, TriForm
+from .cones import C2Form, CYModel, LatticeMap, TriForm, _Value
 
 CONVENTION = "columns-are-images"
 
@@ -38,18 +37,32 @@ class ModelParseError(ValueError):
     """Malformed model file."""
 
 
-@dataclass
-class ModelFile:
-    name: str
-    triform: tuple[int, int, int, int]
-    c2form: tuple[int, int]
-    tau1: tuple[int, int, int, int] | None = None
-    tau2: tuple[int, int, int, int] | None = None
-    sigma: tuple[int, int, int, int] | None = None
-    ci: dict | None = None
-    ideal_files: tuple[str, ...] | None = None
-    provenance: dict | None = None
-    path: Path | None = field(default=None, compare=False)
+class ModelFile(_Value):
+    """The fields of a model file, assignable; path, where it was read from,
+    takes no part in equality."""
+
+    __slots__ = ("name", "triform", "c2form", "tau1", "tau2", "sigma", "ci", "ideal_files", "provenance", "path")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        triform: tuple[int, int, int, int],
+        c2form: tuple[int, int],
+        tau1: tuple[int, int, int, int] | None = None,
+        tau2: tuple[int, int, int, int] | None = None,
+        sigma: tuple[int, int, int, int] | None = None,
+        ci: dict | None = None,
+        ideal_files: tuple[str, ...] | None = None,
+        provenance: dict | None = None,
+        path: Path | None = None,
+    ):
+        self._init(name, triform, c2form, tau1, tau2, sigma, ci, ideal_files, provenance, path)
+
+    def _key(self) -> tuple:
+        return super()._key()[:-1]
 
     def to_cymodel(self) -> CYModel:
         return CYModel(

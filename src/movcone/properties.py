@@ -11,10 +11,9 @@ from random import Random
 from .cones import (
     DivisorClass,
     Dynamics,
+    _same_open_cone,
     area_coordinate,
-    cone_contains,
     eigen_coords,
-    movable_cone,
     slope_coordinate,
 )
 from .exact import QuadNum
@@ -105,11 +104,18 @@ def floor_bracketing(dyn: Dynamics, rng: Random, count: int) -> str | None:
 
 
 def cone_membership(dyn: Dynamics, rng: Random, count: int) -> str | None:
-    """Movable-cone membership agrees with the signs of the eigen-coordinates."""
-    mov = movable_cone(dyn.sigma)
+    """Membership in the closed movable cone, decided by integer signs, agrees
+    with the signs of the eigen-coordinates.  The eigenrays are irrational, so
+    an integral class lies in the closed cone exactly when it is 0 or lies in
+    the open cone that holds u = (1, 1)."""
+    sig = dyn.model.sigma
+    u = (1, 1)
+    su = sig.apply_pair(u)
     for _ in range(count):
-        D = DivisorClass.from_ints(rng.randint(-40, 40), rng.randint(-40, 40))
+        w = rng.randint(-40, 40), rng.randint(-40, 40)
+        inside = w == (0, 0) or _same_open_cone(u, su, w, sig.apply_pair(w))
+        D = DivisorClass.from_ints(*w)
         a1, a2 = eigen_coords(D, dyn.sigma)
-        if cone_contains(mov, D) != (a1.compare(0) >= 0 and a2.compare(0) >= 0):
+        if inside != (a1.compare(0) >= 0 and a2.compare(0) >= 0):
             return f"cone membership inconsistent for {D}"
     return None

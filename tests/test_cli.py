@@ -36,7 +36,12 @@ def test_roundtrip_byte_identical():
     for name in BUNDLED:
         path = bundled_model_path(name)
         raw = path.read_text()
-        assert load_model(path).to_json() == raw
+        mf = load_model(path)
+        assert mf.to_json() == raw
+        # path takes no part in equality, and a ModelFile is unhashable
+        assert mf.path == path and mf == parse_model_text(raw)
+        with pytest.raises(TypeError):
+            hash(mf)
 
 
 def test_save_model_failure_keeps_target(tmp_path, monkeypatch):
@@ -229,6 +234,17 @@ def test_derive_ring_header_past_the_bound_is_one_error_line(tmp_path, monkeypat
     assert not (tmp_path / "out.model").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "9" * 5000], ids=["zero", "past-digit-limit"])
+def test_derive_ring_header_count_error_names_its_line(tmp_path, count):
+    path = _stage(tmp_path, "oguiso")
+    (tmp_path / "oguiso_forms.ideal").write_text(f"# forms\nring x={count} y=3\nx0*y0\n")
+    result = invoke("derive", str(path), "--out", str(tmp_path / "out.model"))
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error: ideal files: line 2: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not (tmp_path / "out.model").exists()
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(out))
@@ -343,9 +359,9 @@ def _run_child(code):
     ids=lambda args: args[0],
 )
 def test_command_leaves_numpy_unloaded(args, tmp_path):
-    """A cold command loads neither numpy nor click, and of movcone only the
-    modules it runs: the oracles for derive, growth for sweep, the property
-    suites for verify."""
+    """A cold command loads neither numpy, click, dataclasses nor inspect,
+    and of movcone only the modules it runs: the oracles for derive, growth
+    for sweep, the property suites for verify."""
     argv = [str(bundled_model_path(a)) if a in BUNDLED else a.format(tmp=tmp_path) for a in args]
     code = (
         "import sys, movcone\n"
@@ -354,6 +370,8 @@ def test_command_leaves_numpy_unloaded(args, tmp_path):
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
         "assert 'numpy' not in sys.modules\n"
         "assert 'click' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "assert 'inspect' not in sys.modules\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('movcone.'))))\n"
     )
     *output, loaded = _run_child(code).splitlines()

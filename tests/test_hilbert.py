@@ -395,6 +395,17 @@ def test_ring_header_past_the_bound_is_refused(monkeypatch):
             parse_ideal_text(f"# comment\n{header}\n" + "x0*y0 + x1*y0\n" * 10)
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    # int() refuses more than 4,300 digits by default; 3.10 words it "(4300)"
+    [("0", "variable counts must be at least 1$"), ("9" * 5000, r"Exceeds the limit \(4300")],
+    ids=["zero", "past-digit-limit"],
+)
+def test_ring_header_count_error_names_its_line(count, message):
+    with pytest.raises(ValueError, match=rf"^line 2: {message}"):
+        parse_ideal_text(f"# comment\nring x={count} y=3\nx0*y0\n")
+
+
 def _record_ranks(monkeypatch):
     """Wrap _rank_mod to record (row count, modulus, rank) of each call."""
     seen = []
