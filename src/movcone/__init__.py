@@ -15,14 +15,14 @@ _EXPORTS = {
     ),
     "cones": (
         "C2Form", "Cone2", "CYModel", "DivisorClass", "InvalidModel", "LatticeMap", "SigmaData",
-        "TriForm", "area_coordinate", "cone_contains", "cone_coords", "eigen_coords",
-        "eigen_sigma", "fundamental_domain", "in_open_movable", "movable_cone",
-        "reduce_to_domain", "slope_coordinate", "validate_model",
+        "TriForm", "area_coordinate", "cone_contains", "eigen_coords", "eigen_sigma",
+        "fundamental_domain", "in_open_movable", "reduce_to_domain", "slope_coordinate",
+        "validate_model",
     ),
     "exact": ("QuadNum", "RadicandMismatch", "squarefree_decompose"),
     "growth": (
-        "FitReport", "RounddownReport", "SweepRecord", "estimate_exponent", "floor_class",
-        "geometric_grid", "rounddown_check", "sweep", "write_csv",
+        "FitReport", "SweepRecord", "estimate_exponent", "floor_class", "geometric_grid",
+        "sweep", "write_csv",
     ),
     "hilbert": (
         "BiPoly", "BiPolyRing", "FitInconsistency", "IdealSpec", "PolyParseError",

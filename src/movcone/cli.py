@@ -321,18 +321,27 @@ def sweep(model_file: str, ray: str, direction: str | None, ample: str, mmin: in
     _echo(f"h0/m^1.5 band = [{report.band_min:.4f}, {report.band_max:.4f}]")
 
 
-@_command(("MODEL_FILE", "CLS"))
-def reduce(model_file: str, cls: str):
-    """Reduce an integral movable class into the fundamental domain."""
+def _reduced(model_file: str, cls: str, count=None):
+    """Reduce CLS into the fundamental domain, print the word and the reduced
+    class, and return count(model, reduced) when count is given.  A
+    ValueError from either step is one error line, before anything else."""
     dyn = _prepare(model_file)
     D = _parse_class(cls)
     try:
         word, reduced = reduce_to_domain(dyn.model, dyn.sigma, dyn.pi, D)
+        value = count(dyn.model, reduced) if count else None
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     p, q = reduced.integer_coords()
     _echo(f"word = [{' '.join(word)}]")
     _echo(f"reduced = {p},{q}")
+    return value
+
+
+@_command(("MODEL_FILE", "CLS"))
+def reduce(model_file: str, cls: str):
+    """Reduce an integral movable class into the fundamental domain."""
+    _reduced(model_file, cls)
 
 
 @_command(("MODEL_FILE", "CLS"))
@@ -340,17 +349,7 @@ def h0(model_file: str, cls: str):
     """Section count of an integral class in the open movable cone."""
     from .riemann_roch import chi_nef
 
-    dyn = _prepare(model_file)
-    D = _parse_class(cls)
-    try:
-        word, reduced = reduce_to_domain(dyn.model, dyn.sigma, dyn.pi, D)
-        count = chi_nef(dyn.model, reduced)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    p, q = reduced.integer_coords()
-    _echo(f"word = [{' '.join(word)}]")
-    _echo(f"reduced = {p},{q}")
-    _echo(f"h0 = {count}")
+    _echo(f"h0 = {_reduced(model_file, cls, chi_nef)}")
 
 
 if __name__ == "__main__":

@@ -249,14 +249,6 @@ class Cone2(_Value):
         self._init(ray1, ray2)
 
 
-def cone_coords(cone: Cone2, D: DivisorClass) -> tuple[QuadNum, QuadNum]:
-    """Coordinates of D in the (ray1, ray2) basis, exact over Q(sqrt(d))."""
-    dt = det2(cone.ray1, cone.ray2)
-    c1 = (D.p * cone.ray2.q - D.q * cone.ray2.p) / dt
-    c2 = (cone.ray1.p * D.q - cone.ray1.q * D.p) / dt
-    return c1, c2
-
-
 def cone_contains(cone: Cone2, D: DivisorClass) -> bool:
     """Exact membership in the closed cone (boundary counts as inside)."""
     return min(coord_signs(cone.ray1, cone.ray2, D)) >= 0
@@ -426,10 +418,6 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     inv = det2(r1, r2).inverse()
     dual = (DivisorClass(r2.q * inv, -r2.p * inv), DivisorClass(-r1.q * inv, r1.p * inv))
     return SigmaData(lam, lam_inv, r1, r2, d, dual)
-
-
-def movable_cone(s: SigmaData) -> Cone2:
-    return Cone2(s.ray1, s.ray2)
 
 
 def eigen_coords(D: DivisorClass, s: SigmaData) -> tuple[QuadNum, QuadNum]:

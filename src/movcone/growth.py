@@ -1,7 +1,6 @@
 """The growth experiment: floors of m times a boundary ray, the section-count
-sweep, least-squares growth-exponent estimation, and round-down stability
-checks.  All section counts are exact integers; only the final fit runs in
-double precision."""
+sweep and least-squares growth-exponent estimation.  All section counts are
+exact integers; only the final fit runs in double precision."""
 
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ from .cones import (
     DivisorClass,
     SigmaData,
     _Value,
-    area_coordinate,
     eigen_coords,
     in_open_movable,
 )
@@ -44,13 +42,6 @@ class FitReport(_Value):
 
     def __init__(self, slope: float, intercept: float, residual: float, band_min: float, band_max: float):
         self._init(slope, intercept, residual, band_min, band_max)
-
-
-class RounddownReport(_Value):
-    __slots__ = ("ratios", "ratio_min", "ratio_max")
-
-    def __init__(self, ratios: tuple[float, ...], ratio_min: float, ratio_max: float):
-        self._init(ratios, ratio_min, ratio_max)
 
 
 def floor_class(m: int, ray: DivisorClass, ample: DivisorClass) -> DivisorClass:
@@ -148,24 +139,6 @@ def estimate_exponent(records) -> FitReport:
     )
     bands = [r.h0 / r.m**1.5 for r in live]
     return FitReport(slope, intercept, residual, min(bands), max(bands))
-
-
-def rounddown_check(s: SigmaData, samples) -> RounddownReport:
-    """Exact ratio of invariant areas before and after coefficient-wise
-    round-down; raises if the band is non-positive or wider than 10^3."""
-    ratios: list[QuadNum] = []
-    for D, ample in samples:
-        _check_ample(ample)
-        ratio = area_coordinate(floor_class(1, D, ample), s) / area_coordinate(D + ample, s)
-        if ratio.compare(0) <= 0:
-            raise ValueError(f"round-down area ratio not positive for {D}")
-        ratios.append(ratio)
-    if not ratios:
-        raise ValueError("no samples")
-    rmin, rmax = min(ratios), max(ratios)
-    if rmax.compare(rmin * 1000) > 0:
-        raise ValueError("round-down ratio band exceeds 10^3")
-    return RounddownReport(tuple(float(r) for r in ratios), float(rmin), float(rmax))
 
 
 def render_l1(x: QuadNum) -> str:

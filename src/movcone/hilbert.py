@@ -223,6 +223,8 @@ def parse_ideal_text(text: str) -> IdealSpec:
         try:
             if ring is not None:
                 gens.append(parse_poly(line, ring))
+                if gens[-1].is_zero():
+                    raise ValueError("zero generator")
             elif not (m := _RING_RE.match(line)):
                 raise ValueError("expected header 'ring x=<n> y=<m>'")
             else:

@@ -10,6 +10,7 @@ coordinate by lambda^2, so the grid steps by lambda^2.
 import random
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from movcone import (
     DivisorClass,
@@ -19,11 +20,11 @@ from movcone import (
     estimate_exponent,
     hilbert_dim,
     intersection_data,
-    rounddown_check,
     sweep,
 )
 from movcone.chow import CIData, MultiProjAmbient, TruncPoly, ci_chern, integrate
-from movcone.growth import geometric_grid
+from movcone.cones import area_coordinate
+from movcone.growth import _check_ample, floor_class, geometric_grid
 from movcone.properties import (
     area_invariance,
     chi_integrality,
@@ -36,6 +37,30 @@ from movcone.properties import (
 
 D = DivisorClass.from_ints
 A55 = D(5, 5)
+
+
+class RounddownReport(NamedTuple):
+    ratios: tuple[float, ...]
+    ratio_min: float
+    ratio_max: float
+
+
+def rounddown_check(s, samples) -> RounddownReport:
+    """Exact ratio of invariant areas before and after coefficient-wise
+    round-down; raises if the band is non-positive or wider than 10^3."""
+    ratios = []
+    for D, ample in samples:
+        _check_ample(ample)
+        ratio = area_coordinate(floor_class(1, D, ample), s) / area_coordinate(D + ample, s)
+        if ratio.compare(0) <= 0:
+            raise ValueError(f"round-down area ratio not positive for {D}")
+        ratios.append(ratio)
+    if not ratios:
+        raise ValueError("no samples")
+    rmin, rmax = min(ratios), max(ratios)
+    if rmax.compare(rmin * 1000) > 0:
+        raise ValueError("round-down ratio band exceeds 10^3")
+    return RounddownReport(tuple(float(r) for r in ratios), float(rmin), float(rmax))
 
 
 def _report(name: str, ok: bool, detail: str = ""):

@@ -245,6 +245,15 @@ def test_derive_ring_header_count_error_names_its_line(tmp_path, count):
     assert not (tmp_path / "out.model").exists()
 
 
+def test_derive_zero_generator_names_its_line(tmp_path):
+    path = _stage(tmp_path, "oguiso")
+    (tmp_path / "oguiso_forms.ideal").write_text("# forms\nring x=4 y=4\nx0*y0\nx0*y1 - x0*y1\n")
+    result = invoke("derive", str(path), "--out", str(tmp_path / "out.model"))
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error: ideal files: line 4: zero generator\n"
+    assert not (tmp_path / "out.model").exists()
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(out))
@@ -418,6 +427,14 @@ def test_interrupt_prints_aborted(tmp_path, monkeypatch):
 def test_h0_outside_cone():
     result = invoke("h0", str(bundled_model_path("example41")), "--", "-1,0")
     assert result.exit_code == 2
+
+
+def test_h0_outside_the_nef_chamber_is_one_error_line():
+    # (-2, 8) is movable on the sigma-only model but reduces outside the nef cone
+    result = invoke("h0", str(bundled_model_path("synthetic-bminus-empty")), "--", "-2,8")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: chamber covering not implemented: [-2, 8] is not nef\n"
 
 
 def test_class_parse_error():

@@ -18,20 +18,30 @@ from movcone import (
     TriForm,
     area_coordinate,
     cone_contains,
-    cone_coords,
     eigen_coords,
     eigen_sigma,
     fundamental_domain,
     in_open_movable,
-    movable_cone,
     reduce_to_domain,
     slope_coordinate,
     validate_model,
 )
-from movcone.cones import SIGMA, SIGMA_INV, TAU2
+from movcone.cones import SIGMA, SIGMA_INV, TAU2, det2
 from movcone.properties import wall_crossing_sandwich
 
 D = DivisorClass.from_ints
+
+
+def movable_cone(s):
+    return Cone2(s.ray1, s.ray2)
+
+
+def cone_coords(cone, cls):
+    """Coordinates of cls in the (ray1, ray2) basis, exact over Q(sqrt(d))."""
+    dt = det2(cone.ray1, cone.ray2)
+    c1 = (cls.p * cone.ray2.q - cls.q * cone.ray2.p) / dt
+    c2 = (cone.ray1.p * cls.q - cone.ray1.q * cls.p) / dt
+    return c1, c2
 
 
 def model_ex41():

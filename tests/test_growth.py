@@ -9,16 +9,16 @@ from movcone import (
     DivisorClass,
     QuadNum,
     chi_nef,
-    cone_coords,
     estimate_exponent,
     floor_class,
     geometric_grid,
-    movable_cone,
-    rounddown_check,
     sweep,
     write_csv,
 )
 from movcone.growth import CSV_HEADER, SweepRecord, render_l1
+
+from test_acceptance import rounddown_check
+from test_cones import cone_coords, movable_cone
 
 D = DivisorClass.from_ints
 A55 = D(5, 5)
@@ -89,12 +89,14 @@ def test_sweep_consistent_with_chi_chain(ex41):
 
 
 def test_sweep_validates_inputs(ex41):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not ample"):
         sweep(ex41.model, ex41.sigma, ex41.pi, D(0, 1), [256, 512])
-    with pytest.raises(ValueError):
-        sweep(ex41.model, ex41.sigma, ex41.pi, D(1, 1), [256, 512])  # coords < 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs coordinates >= 2"):
+        sweep(ex41.model, ex41.sigma, ex41.pi, D(1, 1), [256, 512])
+    with pytest.raises(ValueError, match="must be strictly increasing"):
         sweep(ex41.model, ex41.sigma, ex41.pi, A55, [256, 256])
+    with pytest.raises(ValueError, match="ray must be 'r1', 'r2' or a divisor class"):
+        sweep(ex41.model, ex41.sigma, ex41.pi, A55, [256, 512], ray="r3")
 
 
 def test_sweep_skip_flags_non_movable_records(ex41):

@@ -406,6 +406,12 @@ def test_ring_header_count_error_names_its_line(count, message):
         parse_ideal_text(f"# comment\nring x={count} y=3\nx0*y0\n")
 
 
+def test_zero_generator_names_its_line():
+    # the terms cancel: parse_poly gives the zero polynomial, the file refuses it
+    with pytest.raises(ValueError, match=r"^line 3: zero generator$"):
+        parse_ideal_text("ring x=2 y=2\nx0*y0\nx0*y1 - x0*y1\n")
+
+
 def _record_ranks(monkeypatch):
     """Wrap _rank_mod to record (row count, modulus, rank) of each call."""
     seen = []
