@@ -10,8 +10,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "chow": (
-        "CIData", "MultiProjAmbient", "TruncPoly", "ambient_tangent_chern", "ci_chern",
-        "integrate", "intersection_data",
+        "CIData", "MultiProjAmbient", "ambient_tangent_chern", "ci_chern", "integrate",
+        "intersection_data", "multiply",
     ),
     "cones": (
         "C2Form", "Cone2", "CYModel", "DivisorClass", "InvalidModel", "LatticeMap", "SigmaData",

@@ -200,6 +200,23 @@ def test_derive_invalid_ci_block_is_one_error_line(tmp_path, ci):
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_derive_ci_block_with_many_hyperplane_rows(tmp_path):
+    """P^400 x P^400 cut by 397 rows (1,0), 397 rows (0,1) and (2,1), (1,2),
+    (1,1): the hyperplanes only shrink the ambient, so the CY threefold is the
+    one in P^3 x P^3."""
+    n = 400
+    doc = json.loads(bundled_model_path("oguiso").read_text())
+    del doc["ideal_files"]
+    doc["ci"] = {"dims": [n, n], "degrees": [[1, 0]] * (n - 3) + [[0, 1]] * (n - 3) + [[2, 1], [1, 2], [1, 1]]}
+    path = tmp_path / "ci.model"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.model"
+    result = invoke("derive", str(path), "--force", "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[0] == "triform = (2, 7, 7, 2)  c2form = (44, 44)  [chow]"
+    assert (load_model(out).triform, load_model(out).c2form) == ((2, 7, 7, 2), (44, 44))
+
+
 def test_derive_grid_past_the_cap_ranks_nothing(tmp_path, monkeypatch):
     calls, real = [], movcone.hilbert.hilbert_dim
     monkeypatch.setattr(movcone.hilbert, "hilbert_dim", lambda *args: calls.append(args) or real(*args))
