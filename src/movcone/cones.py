@@ -265,9 +265,9 @@ class CYModel(_Value):
     """Intersection data plus the lattice action of the birational group.
 
     The nef cone is spanned by the basis classes nef1 = H1 and nef2 = H2;
-    tau1 fixes nef1, tau2 fixes nef2.  sigma is set once, at construction:
-    to tau2.tau1 when the involutions are given, else to the sigma passed
-    (tau1 = tau2 = None).  Construction then runs validate_model and raises
+    tau1 fixes nef1, tau2 fixes nef2.  A model is given both involutions or
+    sigma alone (tau1 = tau2 = None), and sigma is set once, to tau2.tau1 or
+    to the sigma passed.  Construction then runs validate_model and raises
     InvalidModel on any issue, so every CYModel satisfies its invariants.
     """
 
@@ -287,10 +287,9 @@ class CYModel(_Value):
         if (tau1 is None) != (tau2 is None):
             raise InvalidModel("tau1 and tau2 must be given together")
         if tau1 is not None:
-            sig = tau2 @ tau1
-            if sigma not in (None, sig):
-                raise InvalidModel(f"sigma {sigma.flat()} differs from tau2.tau1 = {sig.flat()}")
-            sigma = sig
+            if sigma is not None:
+                raise InvalidModel("give either tau1/tau2 or sigma, not both")
+            sigma = tau2 @ tau1
         elif sigma is None:
             raise InvalidModel("model defines neither involutions nor sigma")
         self._init(name, triform, c2form, tau1, tau2, sigma)

@@ -164,8 +164,6 @@ def parse_poly(text: str, ring: BiPolyRing) -> BiPoly:
             pos += 1
             while pos < n and text[pos].isspace():
                 pos += 1
-        elif not first:
-            raise PolyParseError(f"expected '+' or '-', found {ch!r}", pos)
         start = pos
         while pos < n and text[pos] not in "+-":
             pos += 1

@@ -2,7 +2,8 @@
 
 A model file records the intersection data and lattice maps of one threefold
 model.  The top-level "convention" field must read "columns-are-images";
-unknown fields are rejected so convention drift cannot pass silently.
+unknown fields are rejected so convention drift cannot pass silently.  The
+parser checks types only; CYModel decides which lattice maps a model carries.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -81,26 +83,12 @@ class ModelFile(_Value):
         return [base / name for name in self.ideal_files]
 
     def to_json(self) -> str:
-        doc: dict = {"convention": CONVENTION, "name": self.name}
-        if self.tau1 is not None:
-            doc["tau1"] = list(self.tau1)
-        if self.tau2 is not None:
-            doc["tau2"] = list(self.tau2)
-        if self.sigma is not None:
-            doc["sigma"] = list(self.sigma)
-        doc["triform"] = list(self.triform)
-        doc["c2form"] = list(self.c2form)
-        if self.ci is not None:
-            doc["ci"] = {
-                "dims": list(self.ci["dims"]),
-                "degrees": [list(d) for d in self.ci["degrees"]],
-            }
-        if self.ideal_files is not None:
-            doc["ideal_files"] = list(self.ideal_files)
+        doc: dict = {"convention": CONVENTION}
+        for key in _ALLOWED_KEYS[1:]:
+            if getattr(self, key) is not None:
+                doc[key] = getattr(self, key)
         if self.provenance is not None:
-            doc["provenance"] = {
-                k: self.provenance[k] for k in _PROVENANCE_KEYS if k in self.provenance
-            }
+            doc["provenance"] = {k: self.provenance[k] for k in _PROVENANCE_KEYS if k in self.provenance}
         text = json.dumps(doc, indent=2)
         # keep numeric lists on one line
         text = re.sub(
@@ -152,18 +140,7 @@ def parse_model_text(text: str, path: Path | None = None) -> ModelFile:
     tri = _int_list(doc["triform"], "triform", 4)
     c2 = _int_list(doc["c2form"], "c2form", 2)
 
-    has_taus = "tau1" in doc or "tau2" in doc
-    has_sigma = "sigma" in doc
-    if has_taus and has_sigma:
-        raise ModelParseError("give either tau1/tau2 or sigma, not both")
-    if has_taus and ("tau1" not in doc or "tau2" not in doc):
-        raise ModelParseError("tau1 and tau2 must be given together")
-    if not has_taus and not has_sigma:
-        raise ModelParseError("model must define tau1/tau2 or sigma")
-
-    tau1 = _int_list(doc["tau1"], "tau1", 4) if has_taus else None
-    tau2 = _int_list(doc["tau2"], "tau2", 4) if has_taus else None
-    sigma = _int_list(doc["sigma"], "sigma", 4) if has_sigma else None
+    tau1, tau2, sigma = (_int_list(doc[key], key, 4) if key in doc else None for key in ("tau1", "tau2", "sigma"))
 
     ci = None
     if "ci" in doc:
@@ -218,11 +195,22 @@ def load_model(path) -> ModelFile:
 def atomic_write(path):
     """Open a new file beside path for writing.  It replaces path when the
     block ends normally and is removed when the block raises, so a failure
-    leaves path as it was."""
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    leaves path as it was.  A symlink is followed, so the file it names is
+    replaced and the link stays; a regular file keeps its permission bits;
+    an existing path that is no regular file (a FIFO, a device) is written
+    in place."""
+    path = Path(os.path.realpath(path))
+    mode = path.stat().st_mode if path.exists() else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as fp:
+            yield fp
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     fp = open(tmp, "x")
     try:
         with fp:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             yield fp
         os.replace(tmp, path)
     except BaseException:

@@ -2,9 +2,11 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import movcone
 from cli_runner import invoke
 from movcone import growth, properties
+from movcone.cones import InvalidModel
 from movcone.models import (
     ModelFile,
     ModelParseError,
@@ -75,11 +78,19 @@ def test_convention_field_mandatory():
         parse_model_text(json.dumps(doc))
 
 
-def test_tau_and_sigma_exclusive():
+def test_tau_and_sigma_exclusive(tmp_path):
+    """The parser types the maps only; CYModel rejects sigma beside the
+    involutions, and the CLI reports that as a validation failure."""
     doc = json.loads(bundled_model_path("oguiso").read_text())
     doc["sigma"] = [1, 0, 0, 1]
-    with pytest.raises(ModelParseError):
-        parse_model_text(json.dumps(doc))
+    mf = parse_model_text(json.dumps(doc))
+    with pytest.raises(InvalidModel, match="^give either tau1/tau2 or sigma, not both$"):
+        mf.to_cymodel()
+    path = tmp_path / "both.model"
+    path.write_text(json.dumps(doc))
+    result = invoke("h0", str(path), "1,1")
+    assert result.exit_code == 2
+    assert result.stderr == "error: give either tau1/tau2 or sigma, not both\n"
 
 
 def test_verify_bundled_models():
@@ -321,6 +332,68 @@ def test_failed_sweep_keeps_existing_csv(tmp_path, args, message):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_sweep_out_follows_a_symlink(tmp_path):
+    expected = tmp_path / "expected.csv"
+    assert invoke("sweep", str(bundled_model_path("example41")), "--out", str(expected)).exit_code == 0
+    (tmp_path / "old.csv").write_text("old\n")
+    for name, target in (("link.csv", "old.csv"), ("dangling.csv", "new.csv")):
+        link = tmp_path / name
+        link.symlink_to(target)
+        result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(link))
+        assert result.exit_code == 0, result.output
+        assert link.is_symlink() and os.readlink(link) == target
+        assert (tmp_path / target).read_bytes() == expected.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.csv", "expected.csv", "link.csv", "new.csv", "old.csv"
+    ]
+
+
+def test_derive_in_place_follows_a_symlink(tmp_path):
+    doc = json.loads(bundled_model_path("oguiso").read_text())
+    del doc["ideal_files"], doc["provenance"]
+    real = tmp_path / "oguiso.model"
+    real.write_text(json.dumps(doc))
+    link = tmp_path / "link.model"
+    link.symlink_to(real.name)
+    result = invoke("derive", str(link))
+    assert result.exit_code == 0, result.output
+    assert link.is_symlink()
+    assert load_model(real).provenance == {"triform": "chow", "c2form": "chow"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.model", "oguiso.model"]
+
+
+def test_sweep_out_keeps_the_permission_bits(tmp_path):
+    out = tmp_path / "private.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert out.read_text().startswith("m,p,q,h0,")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_sweep_out_writes_a_fifo_in_place(tmp_path):
+    expected = tmp_path / "expected.csv"
+    assert invoke("sweep", str(bundled_model_path("example41")), "--out", str(expected)).exit_code == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as fp:
+            received.append(fp.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(fifo))
+    reader.join(timeout=30)
+    assert result.exit_code == 0, result.output
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "fifo"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_samples_below_one(samples):
     result = invoke("verify", str(bundled_model_path("example41")), "--samples", samples)
@@ -504,16 +577,26 @@ _LATIN1_NAME = bundled_model_path("example41").read_bytes().replace(b'"example41
 _REVERSED = (("tau1", "tau2"), ([1, -6, 0, -1], [-1, 0, -8, 1]))
 
 
+# a field value that _mutated drops from the model
+_DROP = object()
+
+# example41 with one involution only, with sigma beside both, and with no map
+_ONE_INVOLUTION = ("tau2", _DROP)
+_TAUS_AND_SIGMA = ("sigma", [-1, -6, 8, 47])
+_NO_MAP = (("tau1", "tau2"), (_DROP, _DROP))
+
+
 def _mutated(tmp_path, name, field, value):
     """A bundled model with field set to value, or each field of a tuple to
-    the matching entry of value; without a model name, the bytes value."""
+    the matching entry of value, a field set to _DROP left out; without a
+    model name, the bytes value."""
     path = tmp_path / "mutated.model"
     if name is None:
         path.write_bytes(value)
         return path
     doc = json.loads(bundled_model_path(name).read_text())
     doc.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not _DROP}))
     return path
 
 
@@ -534,6 +617,10 @@ def _mutated(tmp_path, name, field, value):
         ("oguiso", "ci", {"dims": [3, True], "degrees": [[1, 1], [1, 1], [2, 2]]}, 3),
         ("oguiso", "ci", {"dims": [3, 3], "degrees": [[1, 1], [1, True], [2, 2]]}, 3),
         pytest.param("example41", *_REVERSED, 2, id="example41-reversed-involutions-2"),
+        # files whose maps are well typed but not tau1 and tau2, or sigma alone
+        pytest.param("example41", *_ONE_INVOLUTION, 2, id="example41-one-involution-2"),
+        pytest.param("example41", *_TAUS_AND_SIGMA, 2, id="example41-taus-and-sigma-2"),
+        pytest.param("example41", *_NO_MAP, 2, id="example41-no-map-2"),
         # files that json.loads or UTF-8 decoding reject with other errors
         pytest.param(None, None, _LATIN1_NAME, 3, id="not-utf8-3"),
         pytest.param(None, None, b"[" * 200_000 + b"]" * 200_000, 3, id="nested-200000-deep-3"),
@@ -558,6 +645,13 @@ def test_verify_rejects_involutions_reversing_the_cone(tmp_path):
         "FAIL model-invariants: nef1: nef generator lies outside the open movable cone of sigma\n"
         "FAIL model-invariants: nef2: nef generator lies outside the open movable cone of sigma\n"
     )
+
+
+def test_verify_rejects_one_involution(tmp_path):
+    result = invoke("verify", str(_mutated(tmp_path, "example41", *_ONE_INVOLUTION)))
+    assert result.exit_code == 2
+    assert result.stdout == "FAIL model-invariants: tau1 and tau2 must be given together\n"
+    assert result.stderr == ""
 
 
 _MUTABLE = {"triform": 4, "c2form": 2, "tau1": 4, "tau2": 4, "sigma": 4}

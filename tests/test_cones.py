@@ -69,9 +69,10 @@ def test_sigma_composition():
 def test_sigma_is_set_at_construction():
     tri, c2, t1, t2 = TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, 6, 0, -1), LatticeMap(-1, 0, 8, 1)
     assert CYModel("ex41", tri, c2, t1, t2).sigma == t2 @ t1
-    assert CYModel("ex41", tri, c2, t1, t2, sigma=t2 @ t1) == model_ex41()
-    with pytest.raises(ValueError, match="differs from tau2.tau1"):
-        CYModel("ex41", tri, c2, t1, t2, sigma=t1 @ t2)
+    # sigma beside the involutions is refused, whether or not it is tau2.tau1
+    for sigma in (t2 @ t1, t1 @ t2):
+        with pytest.raises(InvalidModel, match="^give either tau1/tau2 or sigma, not both$"):
+            CYModel("ex41", tri, c2, t1, t2, sigma=sigma)
     with pytest.raises(ValueError, match="neither involutions nor sigma"):
         CYModel("none", tri, c2, None, None)
 
