@@ -77,9 +77,11 @@ class ModelFile(_Value):
         )
 
     def ideal_paths(self) -> list[Path]:
+        """ideal_files beside the model file; a symlinked model's ideal files
+        sit beside the file the link names."""
         if not self.ideal_files:
             return []
-        base = self.path.parent if self.path else Path(".")
+        base = Path(os.path.realpath(self.path)).parent if self.path else Path(".")
         return [base / name for name in self.ideal_files]
 
     def to_json(self) -> str:

@@ -362,6 +362,19 @@ def test_derive_in_place_follows_a_symlink(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.model", "oguiso.model"]
 
 
+def test_derive_reads_the_ideal_files_beside_a_symlinked_model(tmp_path):
+    # the link lives in another directory than the model and its ideal file
+    path = _stage(tmp_path, "oguiso")
+    (tmp_path / "elsewhere").mkdir()
+    link = tmp_path / "elsewhere" / "o.model"
+    link.symlink_to(os.path.join("..", path.name))
+    result = invoke("derive", str(link))
+    assert result.exit_code == 0, result.output
+    assert "triform = (2, 6, 6, 2)  c2form = (44, 44)  [chow+hilbert-fit]" in result.stdout
+    assert link.is_symlink()
+    assert list((tmp_path / "elsewhere").iterdir()) == [link]
+
+
 def test_sweep_out_keeps_the_permission_bits(tmp_path):
     out = tmp_path / "private.csv"
     out.write_text("old\n")

@@ -19,6 +19,7 @@ from movcone import C2Form, TriForm, hilbert, intersection_data
 from movcone.chow import CIData, MultiProjAmbient
 from movcone.hilbert import MAX_PIECE_MONOMIALS, _PRIME_PAIRS, _rank_mod, _substitute_linear
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 import random
 
@@ -448,6 +449,92 @@ def test_example41_4x4_ranks_2347_rows(ex41_ideal, monkeypatch):
     assert hilbert_dim(ex41_ideal, (4, 4)) == 544
     p, q = _PRIME_PAIRS[0]
     assert seen == [(2347, p * q, 1906)]
+
+
+def _record_rows(monkeypatch):
+    """Wrap _rank_mod to record the rows of each call."""
+    seen = []
+
+    def spy(rows, n):
+        seen.append(rows)
+        return _rank_mod(rows, n)
+
+    monkeypatch.setattr(hilbert, "_rank_mod", spy)
+    return seen
+
+
+def _grevlex_cmp(e, f):
+    """Graded reverse lex on exponent vectors, x0 > x1 > ...: the higher
+    degree wins, then the smaller exponent at the last place they differ."""
+    if sum(e) != sum(f):
+        return sum(e) - sum(f)
+    return next((v - u for u, v in zip(reversed(e), reversed(f)) if u != v), 0)
+
+
+def _column_key(mono):
+    """Sort key of a monomial (x exponents, y exponents) in the column
+    order: grevlex on the x block, ties broken by grevlex on y."""
+    return cmp_to_key(_grevlex_cmp)(mono[0]), cmp_to_key(_grevlex_cmp)(mono[1])
+
+
+def _column_order(x_count, y_count, a, b):
+    """The monomials of bidegree (a, b), ascending in the column order."""
+    return sorted(product(_exponents(x_count, a), _exponents(y_count, b)), key=_column_key)
+
+
+@pytest.mark.parametrize(
+    "x_count, y_count, a, b", [(2, 3, 3, 1), (3, 2, 2, 2), (4, 3, 3, 2), (1, 4, 2, 3), (5, 2, 1, 2), (3, 3, 4, 3)]
+)
+def test_columns_run_in_grevlex_per_kind_x_block_first(x_count, y_count, a, b, monkeypatch):
+    # one generator holding every monomial of bidegree (a, b), each with its
+    # own coefficient, is the one row of that piece, so its sorted columns
+    # name the monomials in column order; the highest column is the pivot,
+    # so a column order other than the criterion's makes the reduction
+    # several times slower without changing any rank
+    ring = BiPolyRing(x_count, y_count)
+    monos = _column_order(x_count, y_count, a, b)
+    coeffs = dict(zip(random.Random(len(monos)).sample(monos, len(monos)), range(1, len(monos) + 1)))
+    seen = _record_rows(monkeypatch)
+    assert hilbert_dim(IdealSpec(ring, (BiPoly.from_dict(ring, coeffs),)), (a, b)) == len(monos) - 1
+    ((row,),) = seen
+    named = {c: m for m, c in coeffs.items()}
+    assert sorted(row) == list(range(len(monos)))
+    assert [named[row[col]] for col in sorted(row)] == monos
+
+
+@pytest.mark.parametrize("name", ["example41", "oguiso", "lex-differs"])
+def test_criterion_keys_each_generator_on_its_grevlex_leading_term(name, ex41_ideal, oguiso_ideal, monkeypatch):
+    # in the ideal (g, h), with h every monomial of bidegree (1, 2), the
+    # piece of bidegree deg(g) + (1, 2) drops exactly the row LM(g)*h, and
+    # LM(g) must be g's largest term in the column order; on the bundled
+    # generators that is also the lex-largest term, so the last ideal holds
+    # generators where lex or a y-block-first order picks another term
+    ideal = {
+        "example41": ex41_ideal,
+        "oguiso": oguiso_ideal,
+        "lex-differs": parse_ideal_text("ring x=3 y=3\nx0*x2*y0 + x1^2*y1\nx0*y0*y2 + x0*y1^2\nx1*y0 + x0*y1"),
+    }[name].substituted
+    nx, ny = ideal.ring.x_count, ideal.ring.y_count
+    h_monos = list(product(_exponents(nx, 1), _exponents(ny, 2)))
+    h = BiPoly.from_dict(ideal.ring, dict.fromkeys(h_monos, 1))
+    h_min = [min(e) for e in zip(*(xe + ye for xe, ye in h_monos))]
+    seen = _record_rows(monkeypatch)
+    for g in ideal.generators:
+        assert len(g.terms) < len(h_monos)
+        ga, gb = g.bidegree
+        cols = _column_order(nx, ny, ga + 1, gb + 2)
+        seen.clear()
+        hilbert_dim(IdealSpec(ideal.ring, (g, h)), (ga + 1, gb + 2))
+        kept = set()
+        for row in seen[0]:
+            if len(row) == len(h_monos):
+                # the multiplier of a row of h: the least exponent of each
+                # variable over the row's monomials, less that over h's
+                exps = zip(*(cols[c][0] + cols[c][1] for c in row))
+                kept.add(tuple(min(e) - least for e, least in zip(exps, h_min)))
+        multipliers = {xe + ye for xe, ye in product(_exponents(nx, ga), _exponents(ny, gb))}
+        lm = max((mono for mono, _ in g.terms), key=_column_key)
+        assert multipliers - kept == {lm[0] + lm[1]}, g
 
 
 @pytest.mark.parametrize("name", ["example41", "oguiso"])
