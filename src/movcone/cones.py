@@ -87,14 +87,8 @@ class DivisorClass(_Value):
             raise ValueError(f"{self} is not an integral class")
         return int(self.p.a), int(self.q.a)
 
-    def is_zero(self) -> bool:
-        return not (self.p or self.q)
-
     def __add__(self, other: DivisorClass) -> DivisorClass:
         return DivisorClass(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: DivisorClass) -> DivisorClass:
-        return DivisorClass(self.p - other.p, self.q - other.q)
 
     def __neg__(self) -> DivisorClass:
         return DivisorClass(-self.p, -self.q)

@@ -1,8 +1,11 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-A value is a + b*sqrt(d) with rational a, b and a positive squarefree
-radicand d.  Every comparison, sign test and floor is decided with integer
-arithmetic only; floats never enter any branch.
+A value is a + b*sqrt(d) with rational a, b and a squarefree radicand
+d > 1, taken as given: the field is chosen once per model, where
+cones.eigen_sigma factors tr^2 - 4, and arithmetic inherits its d.  Values
+over different radicands never mix (RadicandMismatch); rational values mix
+with any field.  Every comparison, sign test and floor is decided with
+integer arithmetic only; floats never enter any branch.
 """
 
 from __future__ import annotations
@@ -47,30 +50,18 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 class QuadNum:
     """Element a + b*sqrt(d) of Q(sqrt(d)), immutable and hashable.
 
-    Radicands are normalized to squarefree form at construction; when the
-    sqrt coefficient vanishes the value is stored in a canonical rational
-    form so that equal values always have equal representations.
+    The radicand d must be squarefree and > 1 when b != 0; it is stored as
+    given, never factored.  When the sqrt coefficient vanishes the value is
+    stored in a canonical rational form so that equal values always have
+    equal representations.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a=0, b=0, d: int = _RATIONAL_D):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b:
-            k, d0 = squarefree_decompose(int(d))
-            if d0 == 1:
-                a += b * k
-                b = Fraction(0)
-                d = _RATIONAL_D
-            else:
-                b *= k
-                d = d0
-        else:
-            d = _RATIONAL_D
-        self._a = a
-        self._b = b
-        self._d = d
+        self._a = Fraction(a)
+        self._b = b = Fraction(b)
+        self._d = d if b else _RATIONAL_D
 
     @property
     def a(self) -> Fraction:
@@ -119,12 +110,6 @@ class QuadNum:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -150,12 +135,6 @@ class QuadNum:
             return NotImplemented
         self._join_d(o)
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, n: int) -> QuadNum:
         if not isinstance(n, int):

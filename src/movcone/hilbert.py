@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb, gcd
 from operator import add
 from pathlib import Path
@@ -307,12 +307,31 @@ def _rank_mod(rows: list[dict], n: int) -> int | None:
     return len(pivots)
 
 
+def _piece_refusal(ring: BiPolyRing, bidegree: tuple[int, int]) -> str | None:
+    """Why hilbert_dim refuses the bidegree (a, b) piece over ring, or None.
+    A refused (a, b) with a, b >= 0 has every piece (a', b') with a' >= a
+    and b' >= b refused as well."""
+    a, b = bidegree
+    if a < 0 or b < 0:
+        return f"bidegree must be non-negative, got {bidegree}"
+    if a > DEFAULT_DEGREE_CAP or b > DEFAULT_DEGREE_CAP:
+        return f"bidegree {bidegree} exceeds the cap {DEFAULT_DEGREE_CAP}"
+    size = comb(ring.x_count + a - 1, a) * comb(ring.y_count + b - 1, b)
+    if size > MAX_PIECE_MONOMIALS:
+        return f"the bidegree {bidegree} piece has {size} monomials, more than {MAX_PIECE_MONOMIALS}"
+    return None
+
+
 def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
-    """R/I as R'/I' over fewer variables.  A (1,0) or (0,1) generator
-    sum c_j v_j with c_p != 0 at its last variable p maps every generator
-    under v_p -> -sum_{j != p} c_j v_j, v_j -> c_p v_j (c_p^deg times
-    eliminating v_p, in integers), divided by its content.  A kind down to
+    """R/I as R'/I' over fewer variables.  A generator whose own bidegree
+    hilbert_dim refuses is dropped first: its rows lie only in refused
+    pieces.  A (1,0) or (0,1) generator sum c_j v_j with c_p != 0 at its last
+    variable p maps every generator under v_p -> -sum_{j != p} c_j v_j,
+    v_j -> c_p v_j (c_p^deg times eliminating v_p, in integers), divided by
+    its content; each term is expanded one factor at a time.  A kind down to
     one variable keeps its linear generator: a ring needs one of each kind."""
+    kept = tuple(g for g in ideal.generators if _piece_refusal(ideal.ring, g.bidegree) is None)
+    ideal = IdealSpec(ideal.ring, kept)
     while True:
         counts = [ideal.ring.x_count, ideal.ring.y_count]
         linear = next(((k, g) for g in ideal.generators for k in (0, 1)
@@ -332,14 +351,18 @@ def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
         for h in ideal.generators:
             total: dict = {}
             for mono, c in h.terms:
-                factors = [image[j] for j, e in enumerate(mono[kind]) for _ in range(e)]
-                for choice in product(*factors):
-                    exps, coeff = [0] * counts[kind], c
-                    for i, v in choice:
-                        exps[i] += 1
-                        coeff *= v
-                    key = (tuple(exps), mono[1]) if kind == 0 else (mono[0], tuple(exps))
-                    total[key] = total.get(key, 0) + coeff
+                part = {(0,) * counts[kind]: c}
+                for j, e in enumerate(mono[kind]):
+                    for _ in range(e):
+                        step: dict = {}
+                        for exps, v in part.items():
+                            for i, ci in image[j]:
+                                key = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                                step[key] = step.get(key, 0) + v * ci
+                        part = step
+                for exps, v in part.items():
+                    key = (exps, mono[1]) if kind == 0 else (mono[0], exps)
+                    total[key] = total.get(key, 0) + v
             if any(total.values()):
                 d = gcd(*total.values())
                 gens.append(BiPoly.from_dict(ring, {m: v // d for m, v in total.items()}))
@@ -348,16 +371,10 @@ def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
 
 def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
     """Dimension of the degree-(a, b) piece of ring/ideal."""
+    refusal = _piece_refusal(ideal.ring, bidegree)
+    if refusal:
+        raise ValueError(refusal)
     a, b = bidegree
-    if a < 0 or b < 0:
-        raise ValueError(f"bidegree must be non-negative, got {bidegree}")
-    if a > DEFAULT_DEGREE_CAP or b > DEFAULT_DEGREE_CAP:
-        raise ValueError(f"bidegree {bidegree} exceeds the cap {DEFAULT_DEGREE_CAP}")
-    size = comb(ideal.ring.x_count + a - 1, a) * comb(ideal.ring.y_count + b - 1, b)
-    if size > MAX_PIECE_MONOMIALS:
-        raise ValueError(
-            f"the bidegree {bidegree} piece has {size} monomials, more than {MAX_PIECE_MONOMIALS}"
-        )
     ideal = ideal.substituted
     ring = ideal.ring
     xi = {e: i for i, e in enumerate(_monomials(ring.x_count, a, a + 1))}

@@ -449,14 +449,24 @@ _COMMAND_MODULES = {
 }
 
 
-def _run_child(code):
-    """Run code in a fresh interpreter that imports the same movcone as this
-    process; return its stdout after asserting a zero exit."""
+def _run_child(code, *argv, flags=()):
+    """Run code with argv in a fresh interpreter, started with flags, that
+    imports the same movcone as this process; return its stdout after
+    asserting a zero exit."""
     path = [str(Path(movcone.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    cmd = [sys.executable, *flags, "-c", code, *argv]
+    result = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["h0", "--help"]], ids=["main", "h0"])
+def test_help_without_docstrings(argv):
+    """Under python -OO the docstrings are gone; help still prints its usage
+    line and option table."""
+    out = _run_child("from movcone.cli import main; main()", *argv, flags=("-OO",))
+    assert out.startswith("Usage: movcone")
 
 
 @pytest.mark.parametrize(

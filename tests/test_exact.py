@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movcone import QuadNum, RadicandMismatch, squarefree_decompose
+from movcone import DivisorClass, QuadNum, RadicandMismatch, exact, h0_movable, squarefree_decompose
+from movcone.properties import area_invariance
 
 fractions_st = st.fractions(min_value=-60, max_value=60, max_denominator=16)
 radicands = st.sampled_from([2, 3, 5, 7, 10, 33])
@@ -61,10 +62,26 @@ def test_division_by_zero():
         QuadNum(1, 1, 2) / QuadNum(0, 0, 2)
 
 
-def test_radicand_normalization():
-    assert QuadNum(0, 1, 12) == QuadNum(0, 2, 3)
-    assert QuadNum(1, 3, 4) == QuadNum(7)  # sqrt(4) = 2 folds into the rational part
-    assert QuadNum(0, 1, 528).d == 33
+@pytest.mark.parametrize("name", ["ex41", "oguiso"])
+def test_values_never_factor_their_radicand(name, request, monkeypatch):
+    """eigen_sigma factors tr^2 - 4 once per model; after that, field
+    arithmetic, h0 and the area property run with squarefree_decompose
+    unusable."""
+    dyn = request.getfixturevalue(name)
+
+    def refuse(n):
+        raise AssertionError(f"squarefree_decompose({n}) called")
+
+    monkeypatch.setattr(exact, "squarefree_decompose", refuse)
+    lam, sig = dyn.sigma.eigenvalue, dyn.model.sigma
+    assert lam * lam.conjugate() == QuadNum(1)
+    assert (lam**3 - lam) / lam == lam * lam - 1
+    assert lam.floor() < lam < lam.floor() + 1
+    D = DivisorClass.from_ints(3, 7)
+    h0 = h0_movable(dyn.model, dyn.sigma, dyn.pi, D)[0]
+    for k in (-2, -1, 1, 3):
+        assert h0_movable(dyn.model, dyn.sigma, dyn.pi, sig.pow(k).apply(D))[0] == h0
+    assert area_invariance(dyn, random.Random(20261019), 20) is None
 
 
 def test_squarefree_decompose():

@@ -385,6 +385,47 @@ def test_piece_past_the_monomial_bound_is_refused(monkeypatch):
     assert comb(4 + 6 - 1, 6) * comb(6 + 6 - 1, 6) < MAX_PIECE_MONOMIALS  # example41 at (6, 6)
 
 
+# x2^e*y0 + x0^e*y1 has bidegree (e, 1): past the degree cap for e > 6
+_STEEP = "ring x=3 y=2\nx0 + x1 + x2\nx2^{e}*y0 + x0^{e}*y1\nx0*y0 + x1*y1\n"
+_STEEP_WITHOUT = "ring x=3 y=2\nx0 + x1 + x2\nx0*y0 + x1*y1\n"
+
+
+def test_generator_past_the_cap_is_left_out_of_the_substitution():
+    # every piece that holds rows of a (7, 1) generator is refused anyway
+    sub = parse_ideal_text(_STEEP.format(e=7)).substituted
+    assert sub == parse_ideal_text(_STEEP_WITHOUT).substituted
+    assert [g.bidegree for g in sub.generators] == [(1, 1)]
+
+
+def test_generator_of_huge_degree_is_never_expanded():
+    ideal = parse_ideal_text(_STEEP.format(e=10**9))
+    without = parse_ideal_text(_STEEP_WITHOUT)
+    for bd in product(range(5), repeat=2):
+        assert hilbert_dim(ideal, bd) == hilbert_dim(without, bd), bd
+
+
+def test_generator_past_the_monomial_bound_is_left_out_of_the_substitution():
+    # (3, 1) over x=400 y=2 has comb(402, 3) * 2 monomials; (1, 1) has 800
+    ring = BiPolyRing(400, 2)
+    ideal = IdealSpec(ring, (parse_poly("x0^3*y1", ring), parse_poly("x0*y0", ring)))
+    assert ideal.substituted.generators == (parse_poly("x0*y0", ring),)
+
+
+def test_substitution_expands_one_factor_at_a_time():
+    # x11 -> -(x0 + ... + x10): the sixth power has comb(16, 6) terms, each
+    # with its multinomial coefficient, where a product per choice of factors
+    # would take 11^6 steps
+    ring = BiPolyRing(12, 2)
+    linear = parse_poly(" + ".join(f"x{i}" for i in range(12)), ring)
+    ideal = IdealSpec(ring, (linear, parse_poly("x11^6*y0 + x0^6*y1", ring)))
+    (g,) = ideal.substituted.generators
+    terms = dict(g.terms)
+    assert len(terms) == comb(16, 6) + 1
+    assert terms[((6,) + (0,) * 10, (0, 1))] == 1
+    assert terms[((1,) * 6 + (0,) * 5, (1, 0))] == 720
+    assert terms[((0,) * 9 + (4, 2), (1, 0))] == 15
+
+
 def test_ring_header_past_the_bound_is_refused(monkeypatch):
     # x*y monomials of bidegree (1, 1) above the bound: refused at the
     # header, before any generator is parsed
