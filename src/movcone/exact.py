@@ -1,11 +1,11 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-A value is a + b*sqrt(d) with rational a, b and a squarefree radicand
-d > 1, taken as given: the field is chosen once per model, where
-cones.eigen_sigma factors tr^2 - 4, and arithmetic inherits its d.  Values
-over different radicands never mix (RadicandMismatch); rational values mix
-with any field.  Every comparison, sign test and floor is decided with
-integer arithmetic only; floats never enter any branch.
+A value is a + b*sqrt(d) with rational a, b and a radicand d > 1 that is
+not a perfect square, taken as given: the field is chosen once per model,
+where cones.eigen_sigma factors tr^2 - 4, and arithmetic inherits its d.
+Values over different radicands never mix (RadicandMismatch); rational
+values mix with any field.  Every comparison, sign test and floor is
+decided with integer arithmetic only; floats never enter any branch.
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ _Scalar = (int, Fraction)
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Split n > 0 as k**2 * d with d squarefree; return (k, d)."""
+    """Split n > 0 as k**2 * d with d == 1 or d > 1 and not a perfect
+    square; return (k, d).  Trial division stops at 2**16 and a perfect
+    square left over is folded into k, so d is squarefree whenever the
+    cofactor the trial division leaves is below 2**48."""
     if n <= 0:
         raise ValueError(f"radicand must be positive, got {n}")
     k, d = 1, 1
     m = n
     p = 2
-    while p * p <= m:
+    while p < 1 << 16 and p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -43,17 +46,18 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    return k, d * m
+    r = math.isqrt(m)
+    return (k * r, d) if r * r == m else (k, d * m)
 
 
 @total_ordering
 class QuadNum:
     """Element a + b*sqrt(d) of Q(sqrt(d)), immutable and hashable.
 
-    The radicand d must be squarefree and > 1 when b != 0; it is stored as
-    given, never factored.  When the sqrt coefficient vanishes the value is
-    stored in a canonical rational form so that equal values always have
-    equal representations.
+    The radicand d must be > 1 and not a perfect square when b != 0; it is
+    stored as given, never factored.  When the sqrt coefficient vanishes the
+    value is stored in a canonical rational form so that equal values always
+    have equal representations.
     """
 
     __slots__ = ("_a", "_b", "_d")

@@ -61,6 +61,9 @@ DEFAULT_DEGREE_CAP = 6
 # Largest graded piece hilbert_dim ranks, in monomials of the input ring;
 # example41 at (6, 6) has 38,808.
 MAX_PIECE_MONOMIALS = 200_000
+# Most variables of one kind an ideal file may declare: the column keys pack
+# n exponents per kind, so ranking a degree-1 piece costs O(n^2) bits.
+MAX_RING_VARIABLES = 1_000
 
 # A prime gives a lower rank than Q exactly when it divides the gcd of the
 # matrix's maximal nonzero minors; a pair agrees wrongly only if both do.
@@ -147,69 +150,53 @@ class IdealSpec(_Value):
         return _substitute_linear(self)
 
 
+# A term is its sign (optional on the first) and the run up to the next sign;
+# a factor is the run after the term's start or a '*'.
+_TERM_RE = re.compile(r"(\A\s*[+-]?|[+-])\s*([^+-]*)")
+_FACTOR_SPAN_RE = re.compile(r"(?:\A|\*)\s*([^*]*)")
 _FACTOR_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$")
 
 
 def parse_poly(text: str, ring: BiPolyRing) -> BiPoly:
     """Parse terms joined by +/-; a term is an optional integer coefficient
-    and '*'-separated powers like "x2^3" or "y0"."""
+    and '*'-separated powers like "x2^3" or "y0".  A PolyParseError's
+    position is where the offending term or factor starts in text."""
+    if not text.strip():
+        raise PolyParseError("empty polynomial", 0)
     terms: dict = {}
-    pos = 0
-    sign = 1
-    first = True
-    n = len(text)
-    while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            if first:
-                raise PolyParseError("empty polynomial", 0)
-            break
-        ch = text[pos]
-        if ch in "+-":
-            if first and ch == "+":
-                raise PolyParseError("leading '+' not allowed", pos)
-            sign = 1 if ch == "+" else -1
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-        start = pos
-        while pos < n and text[pos] not in "+-":
-            pos += 1
-        chunk = text[start:pos].strip()
-        if not chunk:
+    first_bid = None
+    for term in _TERM_RE.finditer(text):
+        sign, body, start = term[1].lstrip(), term[2].rstrip(), term.start(2)
+        if sign == "+" and not term.start():
+            raise PolyParseError("leading '+' not allowed", term.end(1) - 1)
+        if not body:
             raise PolyParseError("empty term", start)
-        coeff = sign
+        coeff = -1 if sign == "-" else 1
         xe = [0] * ring.x_count
         ye = [0] * ring.y_count
-        for j, factor in enumerate(chunk.split("*")):
-            factor = factor.strip()
-            fpos = start + chunk.find(factor)
+        for span in _FACTOR_SPAN_RE.finditer(body):
+            factor, fpos = span[1].rstrip(), start + span.start(1)
             if not factor:
                 raise PolyParseError("empty factor", fpos)
             if factor.isdigit():
-                if j != 0:
+                if span.start():
                     raise PolyParseError("integer coefficient must come first", fpos)
                 coeff *= int(factor)
                 continue
             m = _FACTOR_RE.match(factor)
             if not m:
                 raise PolyParseError(f"cannot parse factor {factor!r}", fpos)
-            kind, idx, power = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-            bound = ring.x_count if kind == "x" else ring.y_count
-            if idx >= bound:
+            kind, idx, power = m[1], int(m[2]), int(m[3] or 1)
+            exps = xe if kind == "x" else ye
+            if idx >= len(exps):
                 raise PolyParseError(f"unknown variable {kind}{idx}", fpos)
-            (xe if kind == "x" else ye)[idx] += power
-        key = (tuple(xe), tuple(ye))
+            exps[idx] += power
         bid = (sum(xe), sum(ye))
-        for (oxe, oye), _ in terms.items():
-            obid = (sum(oxe), sum(oye))
-            if obid != bid:
-                raise PolyParseError(f"mixed bidegrees {obid} and {bid}", start)
-            break
+        first_bid = first_bid or bid
+        if bid != first_bid:
+            raise PolyParseError(f"mixed bidegrees {first_bid} and {bid}", start)
+        key = (tuple(xe), tuple(ye))
         terms[key] = terms.get(key, 0) + coeff
-        sign = 1
-        first = False
     return BiPoly.from_dict(ring, terms)
 
 
@@ -220,7 +207,9 @@ def parse_ideal_text(text: str) -> IdealSpec:
     """Ideal file: header "ring x=<n> y=<m>", then one generator per line.
     Blank lines and '#' comment lines are skipped.  A header with n*m above
     MAX_PIECE_MONOMIALS is refused before any generator is parsed: no piece
-    of bidegree (a, b) with a, b >= 1 could be ranked over that ring."""
+    of bidegree (a, b) with a, b >= 1 could be ranked over that ring.  So is
+    one with n or m above MAX_RING_VARIABLES, whose degree-1 column keys and
+    term exponent tuples would grow with the variable count."""
     ring = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,12 +226,12 @@ def parse_ideal_text(text: str) -> IdealSpec:
             else:
                 # int() refuses a count past the interpreter's digit limit
                 ring = BiPolyRing(int(m.group(1)), int(m.group(2)))
+                header = f"ring x={ring.x_count} y={ring.y_count}"
                 size = ring.x_count * ring.y_count
                 if size > MAX_PIECE_MONOMIALS:
-                    raise ValueError(
-                        f"ring x={ring.x_count} y={ring.y_count} has {size} "
-                        f"monomials of bidegree (1, 1), more than {MAX_PIECE_MONOMIALS}"
-                    )
+                    raise ValueError(f"{header} has {size} monomials of bidegree (1, 1), more than {MAX_PIECE_MONOMIALS}")
+                if max(ring.x_count, ring.y_count) > MAX_RING_VARIABLES:
+                    raise ValueError(f"{header} has more than {MAX_RING_VARIABLES} variables of one kind")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if ring is None:

@@ -566,9 +566,13 @@ def test_class_parse_error():
         ["verify", "example41", "--samples", "abc"],
         ["sweep", "example41", "--ray", "r3"],
         ["h0", "example41", "-1,8"],
+        ["derive", "example41", "--force=yes"],
+        ["verify", "example41", "--samples"],
+        ["--bogus"],
     ],
     ids=["no-command", "unknown-command", "unknown-option", "missing-argument", "extra-argument",
-         "bad-integer", "bad-choice", "minus-without-dashes"],
+         "bad-integer", "bad-choice", "minus-without-dashes", "flag-with-value", "option-without-value",
+         "unknown-top-level-option"],
 )
 def test_usage_error_is_one_parse_error_line(args):
     argv = [str(bundled_model_path(a)) if a in BUNDLED else a for a in args]

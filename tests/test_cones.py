@@ -21,6 +21,7 @@ from movcone import (
     eigen_coords,
     eigen_sigma,
     fundamental_domain,
+    h0_movable,
     in_open_movable,
     reduce_to_domain,
     slope_coordinate,
@@ -450,6 +451,13 @@ def test_reduce_rejects_outside_movable(ex41):
         reduce_to_domain(ex41.model, ex41.sigma, ex41.pi, D(-1, 0))
     with pytest.raises(ValueError):
         reduce_to_domain(ex41.model, ex41.sigma, ex41.pi, D(0, 0))
+
+
+@pytest.mark.parametrize("reduce", [reduce_to_domain, h0_movable])
+def test_reduce_rejects_non_integral_classes(ex41, reduce):
+    for cls in (DivisorClass(QuadNum(Fraction(1, 2)), QuadNum(1)), ex41.sigma.ray1):
+        with pytest.raises(ValueError, match="^only integral classes are reduced$"):
+            reduce(ex41.model, ex41.sigma, ex41.pi, cls)
 
 
 def test_reduce_random_words_land_in_domain(ex41, synthetic):

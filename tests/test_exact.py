@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -6,7 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movcone import DivisorClass, QuadNum, RadicandMismatch, exact, h0_movable, squarefree_decompose
+from movcone import (
+    C2Form,
+    CYModel,
+    DivisorClass,
+    LatticeMap,
+    QuadNum,
+    RadicandMismatch,
+    TriForm,
+    exact,
+    h0_movable,
+    squarefree_decompose,
+)
+from movcone.cones import prepare
 from movcone.properties import area_invariance
 
 fractions_st = st.fractions(min_value=-60, max_value=60, max_denominator=16)
@@ -82,6 +95,18 @@ def test_values_never_factor_their_radicand(name, request, monkeypatch):
     for k in (-2, -1, 1, 3):
         assert h0_movable(dyn.model, dyn.sigma, dyn.pi, sig.pow(k).apply(D))[0] == h0
     assert area_invariance(dyn, random.Random(20261019), 20) is None
+
+
+def test_large_tau_entries_prepare_quickly():
+    """tr^2 - 4 = n^2 (n - 2)(n + 2) with n a prime past the trial-division
+    bound: the radicand keeps the factor n^2 and is still not a square."""
+    n = 100000007
+    model = CYModel("wide", TriForm(2, 6, 8, 4), C2Form(44, 52), LatticeMap(1, n, 0, -1), LatticeMap(-1, 0, n, 1))
+    t0 = time.perf_counter()
+    dyn = prepare(model)
+    assert time.perf_counter() - t0 < 0.5
+    D = model.sigma.apply(DivisorClass.from_ints(2, 3))
+    assert h0_movable(model, dyn.sigma, dyn.pi, D)[0] == model.chi(2, 3)
 
 
 def test_squarefree_decompose():

@@ -17,11 +17,12 @@ from movcone import (
 )
 from movcone import C2Form, TriForm, hilbert, intersection_data
 from movcone.chow import CIData, MultiProjAmbient
-from movcone.hilbert import MAX_PIECE_MONOMIALS, _PRIME_PAIRS, _rank_mod, _substitute_linear
+from movcone.hilbert import MAX_PIECE_MONOMIALS, MAX_RING_VARIABLES, _PRIME_PAIRS, _rank_mod, _substitute_linear
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 import random
+import re
 
 from test_acceptance import _pfaffian_model_expected
 
@@ -56,6 +57,41 @@ def test_parse_errors_carry_position():
         parse_poly("", RING46)
     with pytest.raises(PolyParseError):
         parse_poly("x0*", RING46)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("x0*x", "cannot parse factor 'x'", 3),
+        ("x0*y0*0", "integer coefficient must come first", 6),
+        ("x0 + 2*2", "integer coefficient must come first", 7),
+        ("x0*", "empty factor", 3),
+        ("x0**y1", "empty factor", 3),
+        ("x0 + z3", "cannot parse factor 'z3'", 5),
+    ],
+)
+def test_parse_error_position_is_the_offending_factor(text, message, position):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, RING46)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_unparsed_factor_starts_at_its_position():
+    # the whole factor, delimited by '*', a sign or an end on both sides
+    rng = random.Random(20261019)
+    tokens = ["x0", "x1^2", "x0^2", "y0", "2", "x", "y", "x0^", "^2", "0x", "x0y0", "x 0", ""]
+    for _ in range(3000):
+        terms = ("*".join(rng.choice(tokens) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3)))
+        text = "".join(rng.choice(["", " ", "-", " - ", "+"]) + term for term in terms)
+        try:
+            parse_poly(text, RING46)
+        except PolyParseError as exc:
+            if factor := re.fullmatch(r"cannot parse factor '(.*)' \(at position \d+\)", str(exc)):
+                before, after = text[:exc.position].rstrip(), text[exc.position:]
+                assert after.startswith(factor[1]), (text, str(exc))
+                assert re.match(r"\s*([*+-]|$)", after[len(factor[1]):]), (text, str(exc))
+                assert not before or before[-1] in "*+-", (text, str(exc))
 
 
 def test_parse_coefficients_and_powers():
@@ -434,6 +470,16 @@ def test_ring_header_past_the_bound_is_refused(monkeypatch):
     for header, size in [("ring x=1000000 y=1", 1000000), ("ring x=401 y=500", 200500)]:
         with pytest.raises(ValueError, match=rf"^line 2: {header} has {size} monomials of bidegree \(1, 1\), "
                                              f"more than {MAX_PIECE_MONOMIALS}$"):
+            parse_ideal_text(f"# comment\n{header}\n" + "x0*y0 + x1*y0\n" * 10)
+
+
+def test_ring_header_wider_than_the_variable_cap_is_refused(monkeypatch):
+    # (1, 1) fits MAX_PIECE_MONOMIALS, but one kind has more variables than
+    # MAX_RING_VARIABLES: refused at the header, before any generator is parsed
+    assert parse_ideal_text(f"ring x={MAX_RING_VARIABLES} y=200").ring == BiPolyRing(MAX_RING_VARIABLES, 200)
+    monkeypatch.setattr(hilbert, "parse_poly", lambda *args: pytest.fail("parsed a generator"))
+    for header in ("ring x=1001 y=1", "ring x=1 y=1001"):
+        with pytest.raises(ValueError, match=rf"^line 2: {header} has more than {MAX_RING_VARIABLES} variables of one kind$"):
             parse_ideal_text(f"# comment\n{header}\n" + "x0*y0 + x1*y0\n" * 10)
 
 
