@@ -37,6 +37,14 @@ def _load(path: str) -> models.ModelFile:
         _fail(EXIT_PARSE, str(exc))
 
 
+def _lift_int_limit() -> None:
+    """Let str() print integers of any length once argv and the model file
+    are parsed: the interpreter's 4300-digit limit bounds that parsing, not
+    the exact results.  main() puts the limit back."""
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7+; older ones have no limit
+        sys.set_int_max_str_digits(0)
+
+
 def _parse_class(text: str) -> DivisorClass:
     try:
         p, q = (int(v.strip()) for v in text.split(","))
@@ -132,6 +140,7 @@ def _parse(name: str, argv: list[str]) -> list:
 def main(argv: list[str] | None = None) -> None:
     """Exact cone dynamics and section-count growth for rank-2 models."""
     args = sys.argv[1:] if argv is None else list(argv)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
     try:
         if not args:
             _fail(EXIT_PARSE, "Missing command.")
@@ -152,6 +161,9 @@ def main(argv: list[str] | None = None) -> None:
         # descriptor at devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 @_command(
@@ -168,6 +180,7 @@ def verify(model_file: str, samples: int, seed: int):
     if samples < 1:
         _fail(EXIT_VALIDATION, f"--samples must be at least 1, got {samples}")
     mf = _load(model_file)
+    _lift_int_limit()
     failures = 0
 
     def report(name: str, problem: str | None):
@@ -277,7 +290,9 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
 
 
 def _prepare(model_file: str) -> Dynamics:
+    """The model's dynamics; the command's other arguments are parsed first."""
     mf = _load(model_file)
+    _lift_int_limit()
     try:
         return prepare(mf.to_cymodel())
     except ValueError as exc:
@@ -297,9 +312,9 @@ def sweep(model_file: str, ray: str, direction: str | None, ample: str, mmin: in
     """Run the section-count growth sweep and fit the exponent."""
     from . import growth
 
-    dyn = _prepare(model_file)
     ample_cls = _parse_class(ample)
     ray_arg = _parse_class(direction) if direction else ray
+    dyn = _prepare(model_file)
     # the temp file is opened before the sweep, so an unwritable --out fails
     # before any computation; out is replaced only after the fit succeeds
     try:
@@ -325,8 +340,8 @@ def _reduced(model_file: str, cls: str, count=None):
     """Reduce CLS into the fundamental domain, print the word and the reduced
     class, and return count(model, reduced) when count is given.  A
     ValueError from either step is one error line, before anything else."""
-    dyn = _prepare(model_file)
     D = _parse_class(cls)
+    dyn = _prepare(model_file)
     try:
         word, reduced = reduce_to_domain(dyn.model, dyn.sigma, dyn.pi, D)
         value = count(dyn.model, reduced) if count else None

@@ -117,8 +117,9 @@ def estimate_exponent(records) -> FitReport:
     live = [r for r in records if not r.skipped]
     if len(live) < 8:
         raise ValueError(f"insufficient span: need at least 8 records, got {len(live)}")
-    span = math.log10(live[-1].m / live[0].m)
-    if span < 3:
+    # decided exactly: no h0 or m, of any size, becomes a float on its own
+    if live[-1].m < 1000 * live[0].m:
+        span = math.log10(live[-1].m) - math.log10(live[0].m)
         raise ValueError(f"insufficient span: {span:.2f} decades < 3")
     if any(r.h0 <= 0 for r in live):
         raise ValueError("degenerate fit: non-positive section count")
@@ -137,7 +138,10 @@ def estimate_exponent(records) -> FitReport:
     residual = math.sqrt(
         sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys)) / n
     )
-    bands = [r.h0 / r.m**1.5 for r in live]
+    try:
+        bands = [math.sqrt(r.h0**2 / r.m**3) for r in live]
+    except OverflowError:
+        raise ValueError("h0/m^1.5 band too large to report: h0^2/m^3 exceeds the float range") from None
     return FitReport(slope, intercept, residual, min(bands), max(bands))
 
 

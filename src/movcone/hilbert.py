@@ -218,7 +218,7 @@ def parse_ideal_text(text: str) -> IdealSpec:
             continue
         try:
             if ring is not None:
-                gens.append(parse_poly(line, ring))
+                gens.append(parse_poly(raw, ring))
                 if gens[-1].is_zero():
                     raise ValueError("zero generator")
             elif not (m := _RING_RE.match(line)):
@@ -315,47 +315,44 @@ def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
     """R/I as R'/I' over fewer variables.  A generator whose own bidegree
     hilbert_dim refuses is dropped first: its rows lie only in refused
     pieces.  A (1,0) or (0,1) generator sum c_j v_j with c_p != 0 at its last
-    variable p maps every generator under v_p -> -sum_{j != p} c_j v_j,
-    v_j -> c_p v_j (c_p^deg times eliminating v_p, in integers), divided by
-    its content; each term is expanded one factor at a time.  A kind down to
-    one variable keeps its linear generator: a ring needs one of each kind."""
-    kept = tuple(g for g in ideal.generators if _piece_refusal(ideal.ring, g.bidegree) is None)
-    ideal = IdealSpec(ideal.ring, kept)
-    while True:
-        counts = [ideal.ring.x_count, ideal.ring.y_count]
-        linear = next(((k, g) for g in ideal.generators for k in (0, 1)
-                       if g.bidegree == ((1, 0), (0, 1))[k] and counts[k] > 1), None)
-        if linear is None:
-            return ideal
+    live variable p eliminates v_p: each generator that holds v_p maps under
+    v_p -> -sum_{j != p} c_j v_j, v_j -> c_p v_j (c_p^deg times eliminating
+    v_p, in integers), divided by its content; each term is expanded one
+    factor at a time.  That map only scales a generator free of v_p, so it
+    stays as it is.  Exponent tuples keep their length until the eliminated
+    variables leave the ring, all at once at the end.  A kind down to one
+    variable keeps its linear generator: a ring needs one of each kind."""
+    gens = [g for g in ideal.generators if _piece_refusal(ideal.ring, g.bidegree) is None]
+    live = [list(range(ideal.ring.x_count)), list(range(ideal.ring.y_count))]
+    while linear := next(((k, g) for g in gens for k in (0, 1)
+                          if g.bidegree == ((1, 0), (0, 1))[k] and len(live[k]) > 1), None):
         kind, g = linear
         coeffs = {mono[kind].index(1): c for mono, c in g.terms}
         p = max(coeffs)
         cp = coeffs.pop(p)
-        # variable j of this kind -> [(its index in the smaller ring, coefficient)]
-        image = [[(i - (i > p), -ci) for i, ci in coeffs.items()] if j == p else [(j - (j > p), cp)]
-                 for j in range(counts[kind])]
-        counts[kind] -= 1
-        ring = BiPolyRing(*counts)
-        gens = []
-        for h in ideal.generators:
-            total: dict = {}
-            for mono, c in h.terms:
-                part = {(0,) * counts[kind]: c}
-                for j, e in enumerate(mono[kind]):
-                    for _ in range(e):
+        live[kind].remove(p)
+        for n, h in enumerate(gens):
+            if any(mono[kind][p] for mono, _ in h.terms):
+                total: dict = {}
+                for mono, c in h.terms:
+                    e = mono[kind]
+                    part = {e[:p] + (0,) + e[p + 1:]: c * cp ** (sum(e) - e[p])}
+                    for _ in range(e[p]):
                         step: dict = {}
                         for exps, v in part.items():
-                            for i, ci in image[j]:
+                            for i, ci in coeffs.items():
                                 key = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                                step[key] = step.get(key, 0) + v * ci
+                                step[key] = step.get(key, 0) - v * ci
                         part = step
-                for exps, v in part.items():
-                    key = (exps, mono[1]) if kind == 0 else (mono[0], exps)
-                    total[key] = total.get(key, 0) + v
-            if any(total.values()):
+                    for exps, v in part.items():
+                        key = (exps, mono[1]) if kind == 0 else (mono[0], exps)
+                        total[key] = total.get(key, 0) + v
                 d = gcd(*total.values())
-                gens.append(BiPoly.from_dict(ring, {m: v // d for m, v in total.items()}))
-        ideal = IdealSpec(ring, tuple(gens))
+                gens[n] = BiPoly.from_dict(ideal.ring, {m: v // d for m, v in total.items()}) if d else None
+        gens = [h for h in gens if h is not None]
+    ring = BiPolyRing(len(live[0]), len(live[1]))
+    return IdealSpec(ring, tuple(BiPoly(ring, tuple(((tuple(xe[i] for i in live[0]), tuple(ye[j] for j in live[1])), c)
+                                                    for (xe, ye), c in g.terms)) for g in gens))
 
 
 def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:

@@ -537,6 +537,51 @@ def test_interrupt_prints_aborted(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_past_the_float_range_of_h0(tmp_path):
+    # at --mmax 2^679 the last h0 is past 2^1024, the largest float
+    out = tmp_path / "s.csv"
+    result = invoke("sweep", str(bundled_model_path("example41")), "--mmax", str(2**679), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-1] == "h0/m^1.5 band = [45.3167, 94.3703]"
+    assert int(out.read_text().splitlines()[-1].split(",")[3]) > 2**1024
+
+
+def test_sweep_csv_prints_h0_past_the_int_to_str_limit(tmp_path):
+    # h0, about 50 m^(3/2), has more than 4,300 digits from m = 2^9600 on
+    out = tmp_path / "s.csv"
+    ex41 = str(bundled_model_path("example41"))
+    result = invoke("sweep", ex41, "--mmin", str(2**9600), "--mmax", str(2**9610), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert all(len(row.split(",")[3]) > 4300 for row in out.read_text().splitlines()[1:])
+
+
+def test_h0_past_the_int_to_str_limit(ex41):
+    # chi of the class has more digits than str() prints by default; the
+    # limit is back when the command returns
+    limit = sys.get_int_max_str_digits()
+    result = invoke("h0", str(bundled_model_path("example41")), "--", f"{10**1450},1")
+    assert sys.get_int_max_str_digits() == limit
+    assert result.exit_code == 0 and result.stderr == ""
+    word, reduced, h0 = result.stdout.splitlines()
+    assert (word, reduced) == ("word = []", f"reduced = {10**1450},1")
+    digits = h0.removeprefix("h0 = ")
+    assert len(digits) > 4300
+    assert int(digits[-40:]) == movcone.chi_nef(ex41.model, movcone.DivisorClass.from_ints(10**1450, 1)) % 10**40
+
+
+def test_verify_prints_a_radicand_past_the_int_to_str_limit(tmp_path):
+    # tr(sigma)^2 - 4 has about 4,400 digits at tau entries 10^1100 + 1
+    n = 10**1100 + 1
+    model = json.loads(bundled_model_path("example41").read_text())
+    model.update(tau1=[1, n, 0, -1], tau2=[-1, 0, n, 1])
+    path = tmp_path / "big.model"
+    path.write_text(json.dumps(model))
+    result = invoke("verify", str(path), "--samples", "1")
+    assert result.exit_code == 0 and result.stderr == "", result.output
+    (lam,) = [line for line in result.stdout.splitlines() if line.startswith("lambda = ")]
+    assert len(lam.rpartition("sqrt(")[2]) > 4300
+
+
 def test_h0_outside_cone():
     result = invoke("h0", str(bundled_model_path("example41")), "--", "-1,0")
     assert result.exit_code == 2

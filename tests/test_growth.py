@@ -112,6 +112,32 @@ def test_sweep_skip_flags_non_movable_records(ex41):
         estimate_exponent(recs)
 
 
+def _records(pairs):
+    # estimate_exponent reads only m, h0 and the skip flag
+    return [SweepRecord(m, None, h0, None, 0) for m, h0 in pairs]
+
+
+def test_estimate_exponent_takes_integers_past_the_float_range():
+    # h0 = 50 m^(3/2) on m = 4^600 .. 4^609: each h0 is near 2^1800
+    report = estimate_exponent(_records((4**k, 50 * 8**k) for k in range(600, 610)))
+    assert abs(report.slope - 1.5) < 1e-12
+    assert report.band_min == report.band_max == 50.0
+
+
+def test_estimate_exponent_decides_the_span_on_the_integers():
+    # the span 2^1100 / 1 is past the float range; 2^3008 / 2^3000 is 256
+    report = estimate_exponent(_records((2**k, 3 * 2**k + 1) for k in range(0, 1200, 100)))
+    assert abs(report.slope - 1) < 0.01
+    with pytest.raises(ValueError, match=r"^insufficient span: 2\.41 decades < 3$"):
+        estimate_exponent(_records((2**k, 2**k) for k in range(3000, 3009)))
+
+
+def test_estimate_exponent_refuses_a_band_past_the_float_range():
+    # h0 = m^3 on m = 2^400 .. 2^410: h0^2 / m^3 is past 2^1200
+    with pytest.raises(ValueError, match=r"^h0/m\^1\.5 band"):
+        estimate_exponent(_records((2**k, 2 ** (3 * k)) for k in range(400, 411)))
+
+
 def test_mirror_ray_slope_close(ex41):
     r1 = estimate_exponent(sweep(ex41.model, ex41.sigma, ex41.pi, A55, geometric_grid(), ray="r1"))
     r2 = estimate_exponent(sweep(ex41.model, ex41.sigma, ex41.pi, A55, geometric_grid(), ray="r2"))

@@ -500,6 +500,12 @@ def test_zero_generator_names_its_line():
         parse_ideal_text("ring x=2 y=2\nx0*y0\nx0*y1 - x0*y1\n")
 
 
+def test_indented_generator_reports_its_column():
+    # the position counts the indentation: 'x' starts at column 5
+    with pytest.raises(ValueError, match=r"^line 3: cannot parse factor 'x' \(at position 5\)$"):
+        parse_ideal_text("ring x=2 y=2\n\n  x0*x\n")
+
+
 def _record_ranks(monkeypatch):
     """Wrap _rank_mod to record (row count, modulus, rank) of each call."""
     seen = []
@@ -718,3 +724,60 @@ def test_leading_coefficient_divisible_by_a_prime_moves_to_the_next_pair(monkeyp
     seen = _record_ranks(monkeypatch)
     assert hilbert_dim(ideal, (2, 2)) == 0 == _dim_over_q(ideal, 2, 2)
     assert seen == [(3, p * q, None), (3, p2 * q2, 3)]
+
+
+def _linear_heavy_ideal(rng):
+    """Up to one linear form per variable of each kind, over at most 3 + 3
+    variables, so some draws kill every variable of a kind; pivot
+    coefficients up to 7 in size, a form that is a combination of two
+    earlier ones about half the time, and one or two generators of bidegree
+    (1, 1), (2, 1) or (1, 2)."""
+    ring = BiPolyRing(rng.randint(1, 3), rng.randint(1, 3))
+    gens = []
+    for ga, gb, count in ((1, 0, ring.x_count), (0, 1, ring.y_count)):
+        forms = []
+        for _ in range(rng.randint(0, count)):
+            support = rng.sample(range(count), rng.randint(1, count))
+            forms.append({j: rng.choice([-7, -3, -2, -1, 1, 2, 5]) for j in support})
+        if len(forms) > 1 and rng.random() < 0.5:
+            f, g = rng.sample(forms, 2)
+            forms.append({j: 2 * f.get(j, 0) - 3 * g.get(j, 0) for j in set(f) | set(g)})
+        for form in forms:
+            terms = {(tuple(int(i == j) for i in range(ring.x_count)) if ga else (0,) * ring.x_count,
+                      tuple(int(i == j) for i in range(ring.y_count)) if gb else (0,) * ring.y_count): c
+                     for j, c in form.items()}
+            if any(terms.values()):
+                gens.append(BiPoly.from_dict(ring, terms))
+    for ga, gb in rng.sample([(1, 1), (2, 1), (1, 2)], rng.randint(1, 2)):
+        terms = {(rng.choice(_exponents(ring.x_count, ga)), rng.choice(_exponents(ring.y_count, gb))):
+                 rng.choice([-2, -1, 1, 3]) for _ in range(rng.randint(1, 3))}
+        gens.append(BiPoly.from_dict(ring, terms))
+    rng.shuffle(gens)
+    return IdealSpec(ring, tuple(gens))
+
+
+def test_several_linear_forms_per_kind_match_exact_rank_over_q():
+    covered = set()
+    for seed in range(120):
+        ideal = _linear_heavy_ideal(random.Random(seed))
+        ring, sub = ideal.ring, ideal.substituted
+        linear = [[g for g in i.generators if g.bidegree == bd] for i in (ideal, sub) for bd in ((1, 0), (0, 1))]
+        eliminated = ring.x_count - sub.ring.x_count + ring.y_count - sub.ring.y_count
+        covered |= {
+            "both kinds": bool(linear[0] and linear[1]),
+            "dependent": len(linear[0] + linear[1]) > eliminated + len(linear[2] + linear[3]),
+            "kind killed": bool(linear[2] or linear[3]),
+            # a form's first term, in sorted order, holds its last variable
+            "pivot not +-1": any(abs(g.terms[0][1]) != 1 for g in linear[0] + linear[1]),
+        }.items()
+        for a, b in product(range(4), repeat=2):
+            assert hilbert_dim(ideal, (a, b)) == _dim_over_q(ideal, a, b), (seed, a, b)
+    assert {name for name, hit in covered if hit} == {"both kinds", "dependent", "kind killed", "pivot not +-1"}
+
+
+def test_chain_of_199_forms_pins_its_dimensions():
+    # x0 = x1 = ... = x199 leaves x0*y0 over ring x=1 y=2
+    ideal = parse_ideal_text("ring x=200 y=2\nx0*y0\n" + "\n".join(f"x{i} - x{i + 1}" for i in range(199)))
+    assert ideal.substituted == parse_ideal_text("ring x=1 y=2\nx0*y0")
+    dims = {bd: hilbert_dim(ideal, bd) for bd in [(0, 3), (1, 0), (1, 1), (2, 1), (1, 3), (2, 2)]}
+    assert dims == {(0, 3): 4, (1, 0): 1, (1, 1): 1, (2, 1): 1, (1, 3): 1, (2, 2): 1}
