@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import shutil
 import stat
@@ -849,3 +850,59 @@ def test_derive_contract_on_mutated_ideals(case):
     if result.exit_code:
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stderr.startswith("error: "), result.stderr
+
+
+# int() parses at most 4,300 digits by default (sys.get_int_max_str_digits)
+_DIGIT_LIMIT = 4300
+
+
+def _decimals(max_digits=_DIGIT_LIMIT + 10):
+    """Decimal integers as text, a third of them negative, whose digit count
+    is uniform on 1..max_digits, so the magnitude is log-uniform; a draw past
+    the parse limit must be refused with one error line.  Built digit by
+    digit from a drawn seed: str() of an int past the limit raises, and
+    hypothesis's own integers favour small values."""
+
+    def text(sign, seed):
+        rng = random.Random(seed)
+        # one draw in five within ten digits of max_digits
+        d = rng.randint(1, max_digits) if rng.random() < 0.8 else rng.randint(max(1, max_digits - 19), max_digits)
+        return sign + str(rng.randint(d > 1, 9)) + "".join(rng.choices("0123456789", k=d - 1))
+
+    return st.builds(text, st.sampled_from(["", "", "-"]), st.integers(0, 2**32))
+
+
+def _assert_contract(result):
+    """Exit 0, 2 or 3; a failure prints one error: line and nothing else."""
+    assert result.exit_code in (0, 2, 3), result.output
+    if result.exit_code:
+        assert result.stdout == "", result.output
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: "), result.stderr
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_decimals(), q=_decimals(), command=st.sampled_from(["h0", "reduce"]), model=st.sampled_from(BUNDLED))
+def test_cli_contract_on_classes_of_every_magnitude(p, q, command, model):
+    _assert_contract(invoke(command, str(bundled_model_path(model)), "--", f"{p},{q}"))
+
+
+@st.composite
+def _sweep_grids(draw):
+    """--mmin drawn log-uniformly; --mmax mostly --mmin with 0, 2 or 4
+    digits appended, so a sweep has at most 17 rows (the fit needs 8 that
+    span a factor 1000), else a draw with fewer digits than --mmin."""
+    mmin = draw(_decimals())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    digits = len(mmin.lstrip("-"))
+    if digits > 1 and rng.random() < 0.3:
+        return mmin, draw(_decimals(digits - 1))
+    return mmin, mmin + "".join(rng.choices("0123456789", k=rng.choice((0, 2, 4, 4))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=_sweep_grids(), model=st.sampled_from(BUNDLED), ray=st.sampled_from(["r1", "r2"]))
+def test_sweep_contract_on_grids_of_every_magnitude(grid, model, ray):
+    mmin, mmax = grid
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["--ray", ray, "--mmin", mmin, "--mmax", mmax, "--out", str(Path(tmp) / "s.csv")]
+        _assert_contract(invoke("sweep", str(bundled_model_path(model)), *args))

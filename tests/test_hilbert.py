@@ -21,6 +21,7 @@ from movcone.hilbert import MAX_PIECE_MONOMIALS, MAX_RING_VARIABLES, _PRIME_PAIR
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
+from operator import add
 import random
 import re
 
@@ -325,7 +326,7 @@ def _scripted_ranks(monkeypatch, ranks):
     record the moduli it saw."""
     seen = []
 
-    def fake(rows, n):
+    def fake(rows, n, zeros):
         seen.append(n)
         return ranks[n]
 
@@ -389,14 +390,15 @@ def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
     # the returned dimension plus the rank
     seen = set()
 
-    def spy(rows, n):
+    def spy(rows, n, zeros):
         assert all(0 <= c < 150 for row in rows for c in row)
-        rank = _rank_mod(rows, n)
+        rank = _rank_mod(rows, n, zeros)
         seen.add((len(rows), rank))
         return rank
 
     monkeypatch.setattr(hilbert, "_rank_mod", spy)
-    dim = hilbert_dim(ex41_ideal, (2, 2))
+    # a fresh ideal: the fixture's may have learned syzygy signatures
+    dim = hilbert_dim(IdealSpec(ex41_ideal.ring, ex41_ideal.generators), (2, 2))
     assert dim == 80
     assert {(rows, rank + dim) for rows, rank in seen} == {(85, 150)}
 
@@ -510,8 +512,8 @@ def _record_ranks(monkeypatch):
     """Wrap _rank_mod to record (row count, modulus, rank) of each call."""
     seen = []
 
-    def spy(rows, n):
-        rank = _rank_mod(rows, n)
+    def spy(rows, n, zeros):
+        rank = _rank_mod(rows, n, zeros)
         seen.append((len(rows), n, rank))
         return rank
 
@@ -537,9 +539,10 @@ def test_dropped_rows_keep_the_rank(name, ex41_ideal, oguiso_ideal):
 
 
 def test_example41_4x4_ranks_2347_rows(ex41_ideal, monkeypatch):
-    # 3475 rows without the criterion, of rank 1906 over 2450 columns
+    # 3475 rows without the criterion, of rank 1906 over 2450 columns; a
+    # fresh ideal, so no syzygy signature learned elsewhere drops a row
     seen = _record_ranks(monkeypatch)
-    assert hilbert_dim(ex41_ideal, (4, 4)) == 544
+    assert hilbert_dim(IdealSpec(ex41_ideal.ring, ex41_ideal.generators), (4, 4)) == 544
     p, q = _PRIME_PAIRS[0]
     assert seen == [(2347, p * q, 1906)]
 
@@ -548,9 +551,9 @@ def _record_rows(monkeypatch):
     """Wrap _rank_mod to record the rows of each call."""
     seen = []
 
-    def spy(rows, n):
+    def spy(rows, n, zeros):
         seen.append(rows)
-        return _rank_mod(rows, n)
+        return _rank_mod(rows, n, zeros)
 
     monkeypatch.setattr(hilbert, "_rank_mod", spy)
     return seen
@@ -630,20 +633,26 @@ def test_criterion_keys_each_generator_on_its_grevlex_leading_term(name, ex41_id
         assert multipliers - kept == {lm[0] + lm[1]}, g
 
 
+def _reference_chi(name, a, b):
+    """chi(aH1 + bH2) from the reference data: Schubert calculus for
+    example41, the Chow ring for oguiso."""
+    if name == "example41":
+        tri, c2 = _pfaffian_model_expected()
+        tri, c2 = TriForm(*tri), C2Form(*c2)
+    else:
+        tri, c2 = intersection_data(CIData(MultiProjAmbient((3, 3)), ((1, 1), (1, 1), (2, 2))))
+    chi12 = 2 * tri.cube(a, b) + c2.pair(a, b)
+    assert chi12 % 12 == 0
+    return chi12 // 12
+
+
 @pytest.mark.parametrize("name", ["example41", "oguiso"])
 def test_grid_5_dims_equal_chi(name, ex41_ideal, oguiso_ideal):
     # beyond the fitted grid 1..4: the Hilbert function has stabilized on the
-    # Euler cubic of the reference data (Schubert calculus for example41,
-    # the Chow ring for oguiso)
-    if name == "example41":
-        ideal, (tri, c2) = ex41_ideal, _pfaffian_model_expected()
-        tri, c2 = TriForm(*tri), C2Form(*c2)
-    else:
-        ideal = oguiso_ideal
-        tri, c2 = intersection_data(CIData(MultiProjAmbient((3, 3)), ((1, 1), (1, 1), (2, 2))))
+    # Euler cubic of the reference data
+    ideal = ex41_ideal if name == "example41" else oguiso_ideal
     for a, b in [(5, 5), (1, 5), (5, 1)]:
-        chi12 = 2 * tri.cube(a, b) + c2.pair(a, b)
-        assert chi12 % 12 == 0 and hilbert_dim(ideal, (a, b)) == chi12 // 12, (a, b)
+        assert hilbert_dim(ideal, (a, b)) == _reference_chi(name, a, b), (a, b)
 
 
 def _exponents(n, d):
@@ -781,3 +790,144 @@ def test_chain_of_199_forms_pins_its_dimensions():
     assert ideal.substituted == parse_ideal_text("ring x=1 y=2\nx0*y0")
     dims = {bd: hilbert_dim(ideal, bd) for bd in [(0, 3), (1, 0), (1, 1), (2, 1), (1, 3), (2, 2)]}
     assert dims == {(0, 3): 4, (1, 0): 1, (1, 1): 1, (2, 1): 1, (1, 3): 1, (2, 2): 1}
+
+
+def test_rank_mod_takes_rows_in_order_and_lists_the_zero_rows():
+    # rows 1 and 3 lie in the span of the rows before them; taken shortest
+    # first, row 2 would reduce to zero instead of row 3
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1, 1: 2, 2: 3}, {0: 3, 1: 4, 2: 3}, {1: 5}]
+    zeros = []
+    assert _rank_mod(rows, PRIMES[0], zeros) == 3
+    assert zeros == [1, 3]
+
+
+def test_example41_4x4_after_grid_4_ranks_1906_rows(ex41_ideal, monkeypatch):
+    # the syzygy signatures grid 4 learns drop every row that would reduce
+    # to zero: the warm (4, 4) ranks exactly its rank in rows
+    ideal = IdealSpec(ex41_ideal.ring, ex41_ideal.generators)
+    for bd in default_sample_grid(4):
+        hilbert_dim(ideal, bd)
+    seen = _record_ranks(monkeypatch)
+    assert hilbert_dim(ideal, (4, 4)) == 544
+    p, q = _PRIME_PAIRS[0]
+    assert seen == [(1906, p * q, 1906)]
+
+
+def _mul(m, n):
+    return tuple(map(add, m[0], n[0])), tuple(map(add, m[1], n[1]))
+
+
+def _signature_rows(ideal, a, b):
+    """Every row m*f_j of the bidegree (a, b) piece as ((j, m), {column:
+    coefficient}), in signature order: j in the fewest-terms-first generator
+    order, then the multiplier m in the column order."""
+    nx, ny = ideal.ring.x_count, ideal.ring.y_count
+    index = {c: i for i, c in enumerate(_column_order(nx, ny, a, b))}
+    rows = []
+    for j, g in enumerate(sorted(ideal.generators, key=lambda g: len(g.terms))):
+        ga, gb = g.bidegree
+        if ga <= a and gb <= b:
+            rows.extend(((j, m), {index[_mul(m, mono)]: c for mono, c in g.terms})
+                        for m in _column_order(nx, ny, a - ga, b - gb))
+    return rows
+
+
+def _divides(s, m):
+    return all(u <= v for u, v in zip(s[0] + s[1], m[0] + m[1]))
+
+
+def _check_signatures(ideal):
+    """Each learned signature (j, m) is a syzygy signature: the row m*f_j
+    lies in the span of the rows of smaller signature, mod PRIMES[0].  And
+    no multiplier learned for f_j divides another."""
+    sub = ideal.substituted
+    gens = sorted(sub.generators, key=lambda g: len(g.terms))
+    for j, multipliers in sub.syzygy_signatures.items():
+        for m in multipliers:
+            assert [n for n in multipliers if _divides(n, m)] == [m], (j, multipliers)
+            (ga, gb), (ma, mb) = gens[j].bidegree, (sum(m[0]), sum(m[1]))
+            rows = _signature_rows(sub, ga + ma, gb + mb)
+            k = [sig for sig, _ in rows].index((j, m))
+            smaller = [row for _, row in rows[:k]]
+            assert _rank_mod(smaller + [rows[k][1]], PRIMES[0]) == _rank_mod(smaller, PRIMES[0]), (j, m)
+
+
+def _syzygy_ideal(rng):
+    """Two or three multiples u*v_i of one form u, whose syzygies
+    v_k*(u*v_i) - v_i*(u*v_k) are not Koszul, and sometimes a combination
+    t*f_i + f_k of them, over a ring of at most 3 + 3 variables; small
+    coefficients, up to three terms per factor."""
+    ring = BiPolyRing(rng.randint(1, 3), rng.randint(1, 3))
+
+    def form(ga, gb):
+        return {(rng.choice(_exponents(ring.x_count, ga)), rng.choice(_exponents(ring.y_count, gb))):
+                rng.choice([-2, -1, 1, 3]) for _ in range(rng.randint(1, 3))}
+
+    def product_of(f, g):
+        out = {}
+        for m, c in f.items():
+            for n, d in g.items():
+                out[_mul(m, n)] = out.get(_mul(m, n), 0) + c * d
+        return out
+
+    u = form(*rng.choice([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    gens = [product_of(u, form(*rng.choice([(1, 0), (0, 1), (1, 1)]))) for _ in range(rng.randint(2, 3))]
+    if rng.random() < 0.5:
+        f, g = rng.sample(gens, 2)
+        (fa, fb), (ga, gb) = (next((sum(x), sum(y)) for x, y in h) for h in (f, g))
+        if fa <= ga and fb <= gb:
+            t = form(ga - fa, gb - fb)
+            gens.append(product_of(t, f))
+            for m, v in g.items():
+                gens[-1][m] = gens[-1].get(m, 0) + v
+    return IdealSpec(ring, tuple(BiPoly.from_dict(ring, g) for g in gens if any(g.values())))
+
+
+def test_learned_signatures_keep_every_rank():
+    # rank the grid twice in one shuffled order: the first pass learns
+    # syzygy signatures, the second drops the rows they divide; every
+    # dimension is the column count less the rank of all the rows
+    learned = 0
+    for seed in range(40):
+        rng = random.Random(f"syzygy:{seed}")
+        ideal = _syzygy_ideal(rng)
+        grid = list(product(range(4), repeat=2))
+        rng.shuffle(grid)
+        for a, b in grid + grid:
+            ncols, rows = _all_rows(ideal.substituted, a, b)
+            dim = hilbert_dim(ideal, (a, b))
+            assert dim == ncols - _rank_mod(rows, PRIMES[0]), (seed, a, b)
+            if a + b <= 3:
+                assert dim == _dim_over_q(ideal, a, b), (seed, a, b)
+        _check_signatures(ideal)
+        learned += bool(ideal.substituted.syzygy_signatures)
+    assert learned >= 20
+
+
+@pytest.mark.parametrize("name, count", [("example41", 8), ("oguiso", 1)])
+def test_grid_order_learns_the_same_minimal_signatures(name, count, ex41_ideal, oguiso_ideal):
+    # increasing, decreasing and shuffled grid 4 give the same dimensions
+    # and the same antichain of syzygy signatures, each a true one
+    base = ex41_ideal if name == "example41" else oguiso_ideal
+    grid = default_sample_grid(4)
+    outcomes = []
+    for order in (grid, grid[::-1], random.Random(name).sample(grid, len(grid))):
+        ideal = IdealSpec(base.ring, base.generators)
+        dims = {bd: hilbert_dim(ideal, bd) for bd in order}
+        assert dims == {(a, b): _reference_chi(name, a, b) for a, b in grid}
+        _check_signatures(ideal)
+        outcomes.append({j: sorted(ms) for j, ms in ideal.substituted.syzygy_signatures.items()})
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert sum(map(len, outcomes[0].values())) == count
+
+
+def test_zero_rows_of_a_pair_that_stops_are_not_learned():
+    # modulo pair 1 the row of f_0 = p*q*x0*y0 is zero and the leading entry
+    # p of f_1 = p*x0*y0 + x1*y0 stops the run; learning that zero row would
+    # drop every row of f_0.  Pair 2 learns only x0*f_1, the one row in the
+    # span of the rows before it (x0*f_0 and x1*f_0, since both hold y0)
+    (p, q), _, _ = _PRIME_PAIRS
+    ideal = parse_ideal_text(f"ring x=2 y=1\n{p * q}*x0*y0\n{p}*x0*y0 + x1*y0")
+    for a, b in [(1, 1), (2, 1), (2, 2), (3, 1)]:
+        assert hilbert_dim(ideal, (a, b)) == 0 == _dim_over_q(ideal, a, b), (a, b)
+    assert ideal.substituted.syzygy_signatures == {1: [((1, 0), (0,))]}
