@@ -793,12 +793,12 @@ def test_chain_of_199_forms_pins_its_dimensions():
 
 
 def test_rank_mod_takes_rows_in_order_and_lists_the_zero_rows():
-    # rows 1 and 3 lie in the span of the rows before them; taken shortest
-    # first, row 2 would reduce to zero instead of row 3
-    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1, 1: 2, 2: 3}, {0: 3, 1: 4, 2: 3}, {1: 5}]
+    # row 2 is row 0 less row 1 and row 3 is twice row 0; taken shortest
+    # first, row 0 would reduce to zero instead of row 2
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1}, {1: 1, 2: 1}, {0: 2, 1: 2, 2: 2}]
     zeros = []
-    assert _rank_mod(rows, PRIMES[0], zeros) == 3
-    assert zeros == [1, 3]
+    assert _rank_mod(rows, PRIMES[0], zeros) == 2
+    assert zeros == [2, 3]
 
 
 def test_example41_4x4_after_grid_4_ranks_1906_rows(ex41_ideal, monkeypatch):
