@@ -20,32 +20,32 @@ combinations_with_replacement order with the criterion keyed on the
 lex-largest term.
 
 Rows are dropped before the elimination by Faugere's F5 criteria (ISSAC
-2002; Eder and Faugere, J. Symbolic Comput. 80, 2017).  The generators are
-taken fewest terms first, and the row m*f_j has the signature (j, m),
-ordered by j, then by m in the column order; j counts the generators a
-bidegree leaves out, so a signature means the same at every bidegree.
-hilbert_dim builds the rows in signature order and _rank_mod eliminates them
-in it, and since each generator's rows have its term count, that order is
-shortest first.  The row m*f_j is dropped when m is divisible by the leading
-monomial LM(f_i) of an earlier generator (a Koszul syzygy) or by a syzygy
-multiplier of f_j learned on the same ideal.  The span over Q does not
-change.  For m = LM(f_i)*t and c the leading coefficient of f_i,
-c*m*f_j = t*f_j*f_i - t*tail(f_i)*f_j, rows of smaller signature.  A row
-m*f_j that reduced to zero lies in the span of the rows of smaller
-signature; the order is multiplicative, so t*m*f_j lies in the span of the
-rows of smaller signature at every larger bidegree.  By induction on the
-signature, that span is the span of the kept rows, and dropping rows never
-changes it.  So which rows reduce to zero, and the signatures learned from
-them, belong to the ideal, not to the order of the calls.  The learned
-multipliers (IdealSpec.syzygy_signatures of the substituted ideal) are kept
-minimal, an antichain under divisibility per generator: over bidegrees 1..4
-example41 learns 8 and oguiso 1 in any call order, and afterwards no row of
-those pieces reduces to zero.  example41's (4, 4) ranks 1,906 rows of rank
-1,906 once that grid is ranked, 2,347 on a fresh ideal and 3,475 with no row
-dropped.  The 32 ranks of both bundled ideals at bidegrees 1..4, in
-increasing order on fresh ideals, take 3,021 reduction steps, against 11,800
-with the Koszul syzygies alone; example41's (6, 6) piece takes about
-0.5 s on a fresh ideal and 0.17 s once bidegrees 1..6 are ranked.
+2002; Eder and Faugere, J. Symbolic Comput. 80, 2017).  The substituted
+ideal keeps its generators fewest terms first, and the row m*f_j has the
+signature (j, m): j is the position of f_j there, which a bidegree that
+leaves generators out does not change, and signatures are ordered by j,
+then by m in the column order.  hilbert_dim builds each row with its
+signature, in signature order, and _rank_mod eliminates them in it; each
+generator's rows have its term count, so that order is shortest first.
+The row m*f_j is dropped when m is divisible by the leading monomial
+LM(f_i) of an earlier generator (a Koszul syzygy) or by a syzygy multiplier
+of f_j learned on the same ideal, read from the signature of a row that
+reduced to zero.  The span over Q does not change.  For m = LM(f_i)*t and c
+the leading coefficient of f_i, c*m*f_j = t*f_j*f_i - t*tail(f_i)*f_j, rows
+of smaller signature.  A row m*f_j that reduced to zero lies in the span of
+the rows of smaller signature; the order is multiplicative, so t*m*f_j lies
+in the span of the rows of smaller signature at every larger bidegree.  By
+induction on the signature, that span is the span of the kept rows, and
+dropping rows never changes it.  So which rows reduce to zero, and the
+signatures learned from them, belong to the ideal, not to the order of the
+calls.  The learned multipliers (IdealSpec.syzygy_signatures of the
+substituted ideal) are kept minimal, an antichain under divisibility per
+generator: over bidegrees 1..4 example41 learns 8 and oguiso 1 in any call
+order, and afterwards no row of those pieces reduces to zero.  example41's
+(4, 4) ranks 1,906 rows of rank 1,906 once that grid is ranked, 2,347 on a
+fresh ideal and 3,475 with no row dropped.  The 32 ranks of both bundled
+ideals at bidegrees 1..4, in increasing order on fresh ideals, take 3,021
+reduction steps, against 11,800 with the Koszul syzygies alone.
 
 The rank is certified by one elimination modulo n = p*q for a pair of
 distinct primes below 2^31, from a fixed table of three pairs.  By the CRT,
@@ -172,7 +172,7 @@ class IdealSpec(_Value):
     @cached_property
     def syzygy_signatures(self) -> dict[int, list]:
         """The syzygy signatures hilbert_dim has learned on this ideal: the
-        index of a generator, fewest terms first, maps to an antichain of
+        position of a generator in this ideal maps to an antichain of
         multipliers (x exponents, y exponents) under divisibility."""
         return {}
 
@@ -205,7 +205,7 @@ def parse_poly(text: str, ring: BiPolyRing) -> BiPoly:
             factor, fpos = span[1].rstrip(), start + span.start(1)
             if not factor:
                 raise PolyParseError("empty factor", fpos)
-            if factor.isdigit():
+            if factor.isdecimal():
                 if span.start():
                     raise PolyParseError("integer coefficient must come first", fpos)
                 coeff *= int(factor)
@@ -362,7 +362,8 @@ def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
     factor at a time.  That map only scales a generator free of v_p, so it
     stays as it is.  Exponent tuples keep their length until the eliminated
     variables leave the ring, all at once at the end.  A kind down to one
-    variable keeps its linear generator: a ring needs one of each kind."""
+    variable keeps its linear generator: a ring needs one of each kind.  The
+    generators come back fewest terms first."""
     gens = [g for g in ideal.generators if _piece_refusal(ideal.ring, g.bidegree) is None]
     live = [list(range(ideal.ring.x_count)), list(range(ideal.ring.y_count))]
     while linear := next(((k, g) for g in gens for k in (0, 1)
@@ -393,7 +394,8 @@ def _substitute_linear(ideal: IdealSpec) -> IdealSpec:
         gens = [h for h in gens if h is not None]
     ring = BiPolyRing(len(live[0]), len(live[1]))
     return IdealSpec(ring, tuple(BiPoly(ring, tuple(((tuple(xe[i] for i in live[0]), tuple(ye[j] for j in live[1])), c)
-                                                    for (xe, ye), c in g.terms)) for g in gens))
+                                                    for (xe, ye), c in g.terms))
+                                 for g in sorted(gens, key=lambda g: len(g.terms))))
 
 
 def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
@@ -404,17 +406,15 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
     a, b = bidegree
     ideal = ideal.substituted
     ring = ideal.ring
-    xcols, ycols = _monomials(ring.x_count, a, a + 1), _monomials(ring.y_count, b, b + 1)
-    xi = {e: i for i, e in enumerate(xcols)}
-    yi = {e: i for i, e in enumerate(ycols)}
+    xi = {e: i for i, e in enumerate(_monomials(ring.x_count, a, a + 1))}
+    yi = {e: i for i, e in enumerate(_monomials(ring.y_count, b, b + 1))}
     ny = len(yi)
     ncols = len(xi) * ny
 
-    rows = []
-    leads = []  # (bidegree, x key, y key) of the leading monomial of each earlier generator
-    starts = []  # (first row, generator index, x key, y key of its leading monomial)
+    rows, sigs = [], []  # each kept row m*f_j and its signature (j, x key, y key of m)
+    leads = []  # the leading monomial of each earlier generator
     learned = ideal.syzygy_signatures
-    for j, g in enumerate(sorted(ideal.generators, key=lambda g: len(g.terms))):
+    for j, g in enumerate(ideal.generators):
         ga, gb = g.bidegree
         if ga > a or gb > b:
             continue
@@ -425,33 +425,31 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
         # monomial of an earlier generator or a learned syzygy multiplier of
         # g: those rows lie in the span of the kept rows
         skip: dict[int, set[int]] = {}
-        syzygies = [((sum(xe), sum(ye)), _pack(xe, a + 1), _pack(ye, b + 1)) for xe, ye in learned.get(j, ())]
-        for (la, lb), lx, ly in leads + syzygies:
+        for xe, ye in leads + learned.get(j, []):
+            la, lb = sum(xe), sum(ye)
             if la <= a - ga and lb <= b - gb:
+                lx, ly = _pack(xe, a + 1), _pack(ye, b + 1)
                 tys = [ly + t for t in _monomials(ring.y_count, b - gb - lb, b + 1)]
                 for t in _monomials(ring.x_count, a - ga - la, a + 1):
                     skip.setdefault(lx + t, set()).update(tys)
-        # LM(g) is g's highest column: the smallest x key, then the smallest y key
-        lead = min(zip(gx, gy))
-        leads.append(((ga, gb), *lead))
-        starts.append((len(rows), j, *lead))
+        # LM(g) is g's term in the highest column: the smallest x key, then the smallest y key
+        leads.append(min(zip(gx, gy, g.terms))[2][0])
         ys = [(yq, [yi[k + yq] for k in gy]) for yq in _monomials(ring.y_count, b - gb, b + 1)]
         for xq in _monomials(ring.x_count, a - ga, a + 1):
             xs = [xi[k + xq] * ny for k in gx]
             skipped = skip.get(xq, ())
-            rows.extend(dict(zip(map(add, xs, y), coeffs)) for yq, y in ys if yq not in skipped)
+            for yq, y in ys:
+                if yq not in skipped:
+                    sigs.append((j, xq, yq))
+                    rows.append(dict(zip(map(add, xs, y), coeffs)))
     for p, q in _PRIME_PAIRS:
         zeros: list[int] = []
         rank = _rank_mod(rows, p * q, zeros)
         if rank is not None:
-            # a zero row m*f_j: f_j is the last generator whose rows start at
-            # or before it, and its highest column is m*LM(f_j)
             found: dict[int, dict] = {}
             for i in zeros:
-                _, j, lx, ly = next(s for s in reversed(starts) if s[0] <= i)
-                c = max(rows[i])
-                m = (_unpack(xcols[c // ny] - lx, ring.x_count, a + 1),
-                     _unpack(ycols[c % ny] - ly, ring.y_count, b + 1))
+                j, xq, yq = sigs[i]
+                m = _unpack(xq, ring.x_count, a + 1), _unpack(yq, ring.y_count, b + 1)
                 found.setdefault(j, {})[m] = None
             # the multipliers found for f_j share one degree (dx, dy), and none
             # is a multiple of a learned one; drop the learned ones they divide

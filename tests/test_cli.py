@@ -283,6 +283,15 @@ def test_derive_zero_generator_names_its_line(tmp_path):
     assert not (tmp_path / "out.model").exists()
 
 
+def test_derive_superscript_coefficient_names_its_factor(tmp_path):
+    path = _stage(tmp_path, "oguiso")
+    (tmp_path / "oguiso_forms.ideal").write_text("ring x=4 y=4\n²*x0*y0\n")
+    result = invoke("derive", str(path), "--out", str(tmp_path / "out.model"))
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error: ideal files: line 2: cannot parse factor '²' (at position 0)\n"
+    assert not (tmp_path / "out.model").exists()
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     result = invoke("sweep", str(bundled_model_path("example41")), "--out", str(out))
@@ -906,3 +915,40 @@ def test_sweep_contract_on_grids_of_every_magnitude(grid, model, ray):
     with tempfile.TemporaryDirectory() as tmp:
         args = ["--ray", ray, "--mmin", mmin, "--mmax", mmax, "--out", str(Path(tmp) / "s.csv")]
         _assert_contract(invoke("sweep", str(bundled_model_path(model)), *args))
+
+
+_NUMERIC_FIELDS = ("tau1", "tau2", "sigma", "triform", "c2form")
+
+
+@st.composite
+def _models_of_every_magnitude(draw):
+    """A bundled model with one to three entries of tau1, tau2, sigma,
+    triform or c2form replaced by a _decimals() draw.  The text is built
+    around placeholders: json.dumps cannot write an int past the limit."""
+    doc = json.loads(bundled_model_path(draw(st.sampled_from(BUNDLED))).read_text())
+    slots = [(k, i) for k in _NUMERIC_FIELDS if k in doc for i in range(len(doc[k]))]
+    values = {}
+    for n, (key, i) in enumerate(draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True))):
+        doc[key][i] = f"@{n}"
+        values[f'"@{n}"'] = draw(_decimals())
+    text = json.dumps(doc)
+    for placeholder, value in values.items():
+        text = text.replace(placeholder, value)
+    return text
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=_models_of_every_magnitude(), command=st.sampled_from(["h0", "reduce", "verify"]),
+       cls=st.sampled_from(["1,1", "3,7", "-1,8"]), seed=_decimals())
+def test_cli_contract_on_model_entries_of_every_magnitude(text, command, cls, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.model"
+        path.write_text(text)
+        args = ["--samples", "1", "--seed", seed] if command == "verify" else ["--", cls]
+        result = invoke(command, str(path), *args)
+    if command != "verify" or result.stderr:
+        _assert_contract(result)
+    else:
+        # verify reports each failed check as a FAIL line on stdout, exit 2
+        failed = any(line.startswith("FAIL ") for line in result.stdout.splitlines())
+        assert result.exit_code == (2 if failed else 0), result.output

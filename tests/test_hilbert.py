@@ -69,6 +69,9 @@ def test_parse_errors_carry_position():
         ("x0*", "empty factor", 3),
         ("x0**y1", "empty factor", 3),
         ("x0 + z3", "cannot parse factor 'z3'", 5),
+        # a superscript is a digit to str.isdigit but not to int()
+        ("²*x0*y0", "cannot parse factor '²'", 0),
+        ("x0*y0 - 3*x1*y1³", "cannot parse factor 'y1³'", 13),
     ],
 )
 def test_parse_error_position_is_the_offending_factor(text, message, position):
@@ -101,6 +104,11 @@ def test_parse_coefficients_and_powers():
     coeffs = dict(p.terms)
     assert coeffs[((0, 1, 1, 0), (0, 0, 1, 0, 1, 0))] == 2
     assert coeffs[((0, 2, 0, 0), (0, 0, 0, 0, 2, 0))] == -1
+
+
+def test_parse_coefficient_in_other_decimal_digits():
+    # int() reads every Unicode decimal digit, so these coefficients are 3 and 12
+    assert parse_poly("٣*x0*y0 - ١٢*x1*y1", RING46) == parse_poly("3*x0*y0 - 12*x1*y1", RING46)
 
 
 def test_parse_cancellation_gives_zero():
@@ -383,6 +391,8 @@ def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
     assert (sub.ring.x_count, sub.ring.y_count) == (4, 5)
     assert len(sub.generators) == 6
     assert not any(g.bidegree in ((1, 0), (0, 1)) for g in sub.generators)
+    # fewest terms first: a signature's j is a position in this order
+    assert [len(g.terms) for g in sub.generators] == sorted(len(g.terms) for g in sub.generators)
     # and hilbert_dim ranks that ideal's matrix: at (2,2), 10 + 4*20 + 1 rows
     # by 10*15 monomials, where the input ideal would give 167 x 210, less
     # the 1 + 2 + 3 rows m*f_j of the (1,1) generators whose multiplier m is
@@ -819,12 +829,12 @@ def _mul(m, n):
 
 def _signature_rows(ideal, a, b):
     """Every row m*f_j of the bidegree (a, b) piece as ((j, m), {column:
-    coefficient}), in signature order: j in the fewest-terms-first generator
-    order, then the multiplier m in the column order."""
+    coefficient}), in signature order: j the position of f_j in ideal's
+    generators, then the multiplier m in the column order."""
     nx, ny = ideal.ring.x_count, ideal.ring.y_count
     index = {c: i for i, c in enumerate(_column_order(nx, ny, a, b))}
     rows = []
-    for j, g in enumerate(sorted(ideal.generators, key=lambda g: len(g.terms))):
+    for j, g in enumerate(ideal.generators):
         ga, gb = g.bidegree
         if ga <= a and gb <= b:
             rows.extend(((j, m), {index[_mul(m, mono)]: c for mono, c in g.terms})
@@ -841,11 +851,10 @@ def _check_signatures(ideal):
     lies in the span of the rows of smaller signature, mod PRIMES[0].  And
     no multiplier learned for f_j divides another."""
     sub = ideal.substituted
-    gens = sorted(sub.generators, key=lambda g: len(g.terms))
     for j, multipliers in sub.syzygy_signatures.items():
         for m in multipliers:
             assert [n for n in multipliers if _divides(n, m)] == [m], (j, multipliers)
-            (ga, gb), (ma, mb) = gens[j].bidegree, (sum(m[0]), sum(m[1]))
+            (ga, gb), (ma, mb) = sub.generators[j].bidegree, (sum(m[0]), sum(m[1]))
             rows = _signature_rows(sub, ga + ma, gb + mb)
             k = [sig for sig, _ in rows].index((j, m))
             smaller = [row for _, row in rows[:k]]
