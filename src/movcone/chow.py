@@ -21,7 +21,7 @@ class MultiProjAmbient(_Value):
         dims = tuple(int(n) for n in factor_dims)
         if not dims or any(n < 1 for n in dims):
             raise ValueError(f"invalid factor dimensions {dims}")
-        self._init(dims)
+        super().__init__(dims)
 
 
 class CIData(_Value):
@@ -37,7 +37,7 @@ class CIData(_Value):
                 raise ValueError(f"multidegree {d} does not match ambient with {k} factors")
             if any(x < 0 for x in d) or not any(d):
                 raise ValueError(f"invalid multidegree {d}")
-        self._init(ambient, degs)
+        super().__init__(ambient, degs)
         if self.dim < 0:
             raise ValueError("more hypersurfaces than ambient dimensions")
 

@@ -223,7 +223,7 @@ def verify(model_file: str, samples: int, seed: int):
 
 @_command(
     ("MODEL_FILE",),
-    ("grid", 3, int, "Max bidegree coordinate for fit samples, 1 to 6."),
+    ("grid", 3, int, "Max bidegree coordinate for fit samples, 3 to 6."),
     ("out", None, str, "Write here instead of in place."),
     ("force", False, None, "Overwrite conflicting stored values."),
 )

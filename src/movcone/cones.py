@@ -27,22 +27,26 @@ _set = object.__setattr__
 
 class _Value:
     """Base of the value types.  A subclass names its fields in __slots__ (a
-    slot whose name starts with "_" is no field), and its __init__ passes
-    their values, in that order, to _init.  Equal means the same class with
-    equal fields, the hash is that of the field tuple, and assigning to an
-    attribute raises AttributeError."""
+    slot whose name starts with "_" is no field); the base's __init__ takes
+    their values in that order, and as_tuple returns them.  Equal means the
+    same class with equal fields, the hash is that of the field tuple, and
+    assigning to an attribute raises AttributeError."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
 
-    def _init(self, *values):
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}")
         for name, value in zip(self._fields, values):
             _set(self, name, value)
 
-    def _key(self) -> tuple:
+    def as_tuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    _key = as_tuple  # the equality key; a subclass may leave fields out
 
     def __eq__(self, other):
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
@@ -64,10 +68,6 @@ class DivisorClass(_Value):
     """Class p*H1 + q*H2 with exact (possibly irrational) coordinates."""
 
     __slots__ = ("p", "q")
-
-    def __init__(self, p: QuadNum, q: QuadNum):  # built on every step: no _init loop
-        _set(self, "p", p)
-        _set(self, "q", q)
 
     @classmethod
     def from_ints(cls, p: int, q: int) -> DivisorClass:
@@ -137,9 +137,6 @@ class TriForm(_Value):
 
     __slots__ = ("t111", "t112", "t122", "t222")
 
-    def __init__(self, t111: int, t112: int, t122: int, t222: int):
-        self._init(t111, t112, t122, t222)
-
     def cube(self, p, q):
         """D^3 for D = p*H1 + q*H2; works for int, Fraction or QuadNum."""
         return (
@@ -149,23 +146,14 @@ class TriForm(_Value):
             + self.t222 * q * q * q
         )
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.t111, self.t112, self.t122, self.t222)
-
 
 class C2Form(_Value):
     """Linear form D -> c2(X).D via its values on H1, H2."""
 
     __slots__ = ("h1", "h2")
 
-    def __init__(self, h1: int, h2: int):
-        self._init(h1, h2)
-
     def pair(self, p, q):
         return self.h1 * p + self.h2 * q
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.h1, self.h2)
 
 
 class LatticeMap(_Value):
@@ -176,7 +164,7 @@ class LatticeMap(_Value):
     def __init__(self, a: int, b: int, c: int, d: int):
         if a * d == b * c:
             raise ValueError("lattice map must be invertible")
-        self._init(a, b, c, d)
+        super().__init__(a, b, c, d)
 
     @classmethod
     def identity(cls) -> LatticeMap:
@@ -228,9 +216,6 @@ class LatticeMap(_Value):
             k >>= 1
         return result
 
-    def flat(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
 
 class Cone2(_Value):
     """Closed 2-dimensional cone spanned by two non-proportional rays."""
@@ -240,7 +225,7 @@ class Cone2(_Value):
     def __init__(self, ray1: DivisorClass, ray2: DivisorClass):
         if not det2(ray1, ray2):
             raise ValueError("cone rays must be non-proportional")
-        self._init(ray1, ray2)
+        super().__init__(ray1, ray2)
 
 
 def cone_contains(cone: Cone2, D: DivisorClass) -> bool:
@@ -286,7 +271,7 @@ class CYModel(_Value):
             sigma = tau2 @ tau1
         elif sigma is None:
             raise InvalidModel("model defines neither involutions nor sigma")
-        self._init(name, triform, c2form, tau1, tau2, sigma)
+        super().__init__(name, triform, c2form, tau1, tau2, sigma)
         issues = validate_model(self)
         if issues:
             raise InvalidModel(*issues)
@@ -310,20 +295,11 @@ class SigmaData(_Value):
     one; both are oriented so that every nef class has non-negative
     coordinates in the (ray1, ray2) basis.  dual = (w1, w2) is the dual
     basis, wi . rayj = [i == j], so the eigen-coordinates of D are wi . D.
+    The contracting eigenvalue is eigenvalue.conjugate(), and the radicand
+    of Q(sqrt(d)) is eigenvalue.d.
     """
 
-    __slots__ = ("eigenvalue", "eigenvalue_inv", "ray1", "ray2", "d", "dual")
-
-    def __init__(
-        self,
-        eigenvalue: QuadNum,
-        eigenvalue_inv: QuadNum,
-        ray1: DivisorClass,
-        ray2: DivisorClass,
-        d: int,
-        dual: tuple[DivisorClass, DivisorClass],
-    ):
-        self._init(eigenvalue, eigenvalue_inv, ray1, ray2, d, dual)
+    __slots__ = ("eigenvalue", "ray1", "ray2", "dual")
 
 
 def _same_open_cone(u, su, w, sw) -> bool:
@@ -400,7 +376,6 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     # so for tr > 2 the eigenvalues and eigenrays are irrational
     k, d = squarefree_decompose(tr * tr - 4)
     lam = QuadNum(Fraction(tr, 2), Fraction(k, 2), d)
-    lam_inv = lam.conjugate()
     # (ev - sigma.d) / sigma.c with ev = (tr +- k*sqrt(d)) / 2; c != 0, as
     # c == 0 and det == 1 would force trace +-2
     p0 = Fraction(tr - 2 * sig.d, 2 * sig.c)
@@ -410,7 +385,7 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     r1, r2 = -r1 if s1 < 0 else r1, -r2 if s2 < 0 else r2
     inv = det2(r1, r2).inverse()
     dual = (DivisorClass(r2.q * inv, -r2.p * inv), DivisorClass(-r1.q * inv, r1.p * inv))
-    return SigmaData(lam, lam_inv, r1, r2, d, dual)
+    return SigmaData(lam, r1, r2, dual)
 
 
 def eigen_coords(D: DivisorClass, s: SigmaData) -> tuple[QuadNum, QuadNum]:
@@ -421,7 +396,7 @@ def eigen_coords(D: DivisorClass, s: SigmaData) -> tuple[QuadNum, QuadNum]:
     if pq is None:
         return tuple(w.p * D.p + w.q * D.q for w in s.dual)
     p, q = pq
-    return tuple(QuadNum(w.p.a * p + w.q.a * q, w.p.b * p + w.q.b * q, s.d) for w in s.dual)
+    return tuple(QuadNum(w.p.a * p + w.q.a * q, w.p.b * p + w.q.b * q, s.eigenvalue.d) for w in s.dual)
 
 
 def area_coordinate(D: DivisorClass, s: SigmaData) -> QuadNum:
@@ -472,9 +447,6 @@ class Dynamics(_Value):
     """A validated model with its eigen-analysis and fundamental domain."""
 
     __slots__ = ("model", "sigma", "pi")
-
-    def __init__(self, model: CYModel, sigma: SigmaData, pi: Cone2):
-        self._init(model, sigma, pi)
 
 
 def prepare(model: CYModel) -> Dynamics:

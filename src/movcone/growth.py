@@ -33,15 +33,9 @@ class SweepRecord(_Value):
 
     __slots__ = ("m", "floored", "h0", "l1", "word_length", "skipped")
 
-    def __init__(self, m: int, floored: DivisorClass, h0: int, l1: QuadNum, word_length: int, skipped: bool = False):
-        self._init(m, floored, h0, l1, word_length, skipped)
-
 
 class FitReport(_Value):
     __slots__ = ("slope", "intercept", "residual", "band_min", "band_max")
-
-    def __init__(self, slope: float, intercept: float, residual: float, band_min: float, band_max: float):
-        self._init(slope, intercept, residual, band_min, band_max)
 
 
 def floor_class(m: int, ray: DivisorClass, ample: DivisorClass) -> DivisorClass:
@@ -106,17 +100,19 @@ def sweep(
         l1 = (al1 * m + be1) * (al2 * m + be2)
         if in_open_movable(floored, s):
             h0, word = h0_movable(model, s, pi, floored)
-            records.append(SweepRecord(m, floored, h0, l1, len(word)))
+            records.append(SweepRecord(m, floored, h0, l1, len(word), False))
         else:
-            records.append(SweepRecord(m, floored, 0, l1, 0, skipped=True))
+            records.append(SweepRecord(m, floored, 0, l1, 0, True))
     return records
 
 
-def estimate_exponent(records) -> FitReport:
+def estimate_exponent(records: list[SweepRecord]) -> FitReport:
     """Least-squares slope of log h0 against log m, with the h0/m^(3/2) band."""
     live = [r for r in records if not r.skipped]
     if len(live) < 8:
-        raise ValueError(f"insufficient span: need at least 8 records, got {len(live)}")
+        skipped = len(records) - len(live)
+        note = f" ({skipped} skipped outside the open movable cone)" if skipped else ""
+        raise ValueError(f"insufficient span: need at least 8 records, got {len(live)}{note}")
     # decided exactly: no h0 or m, of any size, becomes a float on its own
     if live[-1].m < 1000 * live[0].m:
         span = math.log10(live[-1].m) - math.log10(live[0].m)

@@ -120,7 +120,7 @@ class BiPolyRing(_Value):
     def __init__(self, x_count: int, y_count: int):
         if x_count < 1 or y_count < 1:
             raise ValueError("variable counts must be at least 1")
-        self._init(x_count, y_count)
+        super().__init__(x_count, y_count)
 
 
 class BiPoly(_Value):
@@ -135,7 +135,7 @@ class BiPoly(_Value):
             raise ValueError(f"not bihomogeneous: bidegrees {sorted(degs)}")
         if any(not c for _, c in terms):
             raise ValueError("zero coefficients must not be stored")
-        self._init(ring, terms)
+        super().__init__(ring, terms)
 
     @classmethod
     def from_dict(cls, ring: BiPolyRing, d: dict) -> BiPoly:
@@ -161,7 +161,7 @@ class IdealSpec(_Value):
                 raise ValueError("generator ring mismatch")
             if g.is_zero():
                 raise ValueError("zero generator")
-        self._init(ring, generators)
+        super().__init__(ring, generators)
 
     @cached_property
     def substituted(self) -> IdealSpec:
@@ -464,9 +464,10 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
 
 
 def default_sample_grid(max_degree: int = 3) -> list[tuple[int, int]]:
-    """Fit sample bidegrees: 1 <= a, b <= max_degree (so a + b >= 2)."""
-    if not 1 <= max_degree <= DEFAULT_DEGREE_CAP:
-        raise ValueError(f"max_degree must be between 1 and the cap {DEFAULT_DEGREE_CAP}, got {max_degree}")
+    """Fit sample bidegrees: 1 <= a, b <= max_degree (so a + b >= 2).  fit_chi
+    needs six samples, so max_degree starts at 3."""
+    if not 3 <= max_degree <= DEFAULT_DEGREE_CAP:
+        raise ValueError(f"max_degree must be between 3 and the cap {DEFAULT_DEGREE_CAP}, got {max_degree}")
     return [(a, b) for a in range(1, max_degree + 1) for b in range(1, max_degree + 1)]
 
 

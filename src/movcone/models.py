@@ -19,18 +19,6 @@ from .cones import C2Form, CYModel, LatticeMap, TriForm, _Value
 
 CONVENTION = "columns-are-images"
 
-_ALLOWED_KEYS = (
-    "convention",
-    "name",
-    "tau1",
-    "tau2",
-    "sigma",
-    "triform",
-    "c2form",
-    "ci",
-    "ideal_files",
-    "provenance",
-)
 _CI_KEYS = ("dims", "degrees")
 _PROVENANCE_KEYS = ("triform", "c2form", "note")
 
@@ -40,31 +28,17 @@ class ModelParseError(ValueError):
 
 
 class ModelFile(_Value):
-    """The fields of a model file, assignable; path, where it was read from,
+    """The fields of a model file, assignable, in the order the file writes
+    its keys after "convention"; path, where it was read from, is no key and
     takes no part in equality."""
 
-    __slots__ = ("name", "triform", "c2form", "tau1", "tau2", "sigma", "ci", "ideal_files", "provenance", "path")
+    __slots__ = ("name", "tau1", "tau2", "sigma", "triform", "c2form", "ci", "ideal_files", "provenance", "path")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(
-        self,
-        name: str,
-        triform: tuple[int, int, int, int],
-        c2form: tuple[int, int],
-        tau1: tuple[int, int, int, int] | None = None,
-        tau2: tuple[int, int, int, int] | None = None,
-        sigma: tuple[int, int, int, int] | None = None,
-        ci: dict | None = None,
-        ideal_files: tuple[str, ...] | None = None,
-        provenance: dict | None = None,
-        path: Path | None = None,
-    ):
-        self._init(name, triform, c2form, tau1, tau2, sigma, ci, ideal_files, provenance, path)
-
     def _key(self) -> tuple:
-        return super()._key()[:-1]
+        return self.as_tuple()[:-1]
 
     def to_cymodel(self) -> CYModel:
         return CYModel(
@@ -86,7 +60,7 @@ class ModelFile(_Value):
 
     def to_json(self) -> str:
         doc: dict = {"convention": CONVENTION}
-        for key in _ALLOWED_KEYS[1:]:
+        for key in self._fields[:-1]:
             if getattr(self, key) is not None:
                 doc[key] = getattr(self, key)
         if self.provenance is not None:
@@ -125,7 +99,7 @@ def parse_model_text(text: str, path: Path | None = None) -> ModelFile:
         raise ModelParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelParseError("model file must contain a JSON object")
-    unknown = set(doc) - set(_ALLOWED_KEYS)
+    unknown = set(doc) - {"convention", *ModelFile._fields[:-1]}
     if unknown:
         raise ModelParseError(f"unknown fields {sorted(unknown)}")
     if doc.get("convention") != CONVENTION:
@@ -170,18 +144,7 @@ def parse_model_text(text: str, path: Path | None = None) -> ModelFile:
             raise ModelParseError(f"provenance keys must be among {_PROVENANCE_KEYS}")
         provenance = dict(raw)
 
-    return ModelFile(
-        name=name,
-        triform=tri,
-        c2form=c2,
-        tau1=tau1,
-        tau2=tau2,
-        sigma=sigma,
-        ci=ci,
-        ideal_files=ideal_files,
-        provenance=provenance,
-        path=path,
-    )
+    return ModelFile(name, tau1, tau2, sigma, tri, c2, ci, ideal_files, provenance, path)
 
 
 def load_model(path) -> ModelFile:

@@ -57,7 +57,7 @@ def wall_crossing_sandwich(dyn: Dynamics, rng: Random, count: int) -> str | None
         d2 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
         D = pi.ray1.scale(d1) + pi.ray2.scale(d2)
         val, ref = area_coordinate(dyn.model.tau2.apply(D), s), area_coordinate(D, s)
-        if not (val.compare(ref * s.eigenvalue_inv) > 0 and val.compare(ref * s.eigenvalue) < 0):
+        if not (val.compare(ref * s.eigenvalue.conjugate()) > 0 and val.compare(ref * s.eigenvalue) < 0):
             return f"wall-crossing area sandwich violated for {D}"
     return None
 
@@ -92,7 +92,7 @@ def chi_integrality(dyn: Dynamics, rng: Random, count: int) -> str | None:
 
 def floor_bracketing(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """floor(x) <= x < floor(x) + 1 in Q(sqrt(d)), d = 2, 3, 5 or the model's."""
-    radicands = [2, 3, 5, dyn.sigma.d]
+    radicands = [2, 3, 5, dyn.sigma.eigenvalue.d]
     for _ in range(count):
         a = Fraction(rng.randint(-9000, 9000), rng.randint(1, 50))
         b = Fraction(rng.randint(-900, 900), rng.randint(1, 50))

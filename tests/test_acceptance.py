@@ -84,7 +84,7 @@ def test_criterion_1_exact_eigen_analysis(ex41):
     _report(
         "criterion-1 exact sigma/eigenvalue/eigenray reproduction",
         ok,
-        f"sigma={model.sigma.flat()} lambda={lam} ray1={s.ray1} eigen time={best * 1e6:.0f}us",
+        f"sigma={model.sigma.as_tuple()} lambda={lam} ray1={s.ray1} eigen time={best * 1e6:.0f}us",
     )
 
 

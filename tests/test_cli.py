@@ -232,12 +232,15 @@ def test_derive_ci_block_with_many_hyperplane_rows(tmp_path):
 def test_derive_grid_past_the_cap_ranks_nothing(tmp_path, monkeypatch):
     calls, real = [], movcone.hilbert.hilbert_dim
     monkeypatch.setattr(movcone.hilbert, "hilbert_dim", lambda *args: calls.append(args) or real(*args))
-    result = invoke("derive", str(_stage(tmp_path, "oguiso")), "--grid", "7")
-    assert result.exit_code == 2, result.output
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: hilbert derivation failed: ")
-    assert "cap 6" in result.stderr
-    assert len(result.stderr.splitlines()) == 1
+    path = str(_stage(tmp_path, "oguiso"))
+    # grids 1 and 2 give fit_chi fewer than its six samples
+    for grid in ("1", "2", "7"):
+        result = invoke("derive", path, "--grid", grid)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: hilbert derivation failed: ")
+        assert "cap 6" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
     assert calls == []
 
 
@@ -329,8 +332,9 @@ def test_unwritable_out_skips_the_sweep(tmp_path, monkeypatch):
         (["--ample", "0,1"], "[0, 1] is not ample (not interior to the nef cone)"),
         (["--mmax", "512"], "insufficient span: need at least 8 records, got 2"),
         (["--mmin", "0"], "need 1 <= mmin <= mmax"),
+        (["--dir", "-1,0"], "insufficient span: need at least 8 records, got 0 (13 skipped outside the open movable cone)"),
     ],
-    ids=["sweep-fails", "fit-fails", "grid-fails"],
+    ids=["sweep-fails", "fit-fails", "grid-fails", "all-rows-skipped"],
 )
 def test_failed_sweep_keeps_existing_csv(tmp_path, args, message):
     out = tmp_path / "sweep.csv"

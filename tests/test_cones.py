@@ -27,7 +27,10 @@ from movcone import (
     slope_coordinate,
     validate_model,
 )
-from movcone.cones import SIGMA, SIGMA_INV, TAU2, det2
+from movcone.chow import CIData, MultiProjAmbient
+from movcone.cones import SIGMA, SIGMA_INV, TAU2, _Value, det2
+from movcone.growth import estimate_exponent, geometric_grid, sweep
+from movcone.models import ModelFile, bundled_model_path, load_model
 from movcone.properties import wall_crossing_sandwich
 
 D = DivisorClass.from_ints
@@ -63,8 +66,43 @@ def test_lattice_map_conventions():
 
 def test_sigma_composition():
     m = model_ex41()
-    assert m.sigma.flat() == (-1, -6, 8, 47)
+    assert m.sigma.as_tuple() == (-1, -6, 8, 47)
     assert m.sigma.apply(D(1, 0)) == D(-1, 8)
+
+
+def _value_types(cls=_Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_types(sub)
+
+
+def test_every_value_type_takes_its_fields_in_slot_order(ex41, ex41_ideal):
+    records = sweep(ex41.model, ex41.sigma, ex41.pi, D(5, 5), geometric_grid())
+    ambient = MultiProjAmbient((3, 3))
+    values = [
+        ex41, ex41.model, ex41.sigma, ex41.pi, ex41.pi.ray1, ex41.model.triform, ex41.model.c2form,
+        ex41.model.sigma, records[0], estimate_exponent(records), load_model(bundled_model_path("example41")),
+        ambient, CIData(ambient, ((1, 1), (1, 1), (2, 2))), ex41_ideal, ex41_ideal.ring, ex41_ideal.generators[0],
+    ]
+    assert {type(v) for v in values} == set(_value_types())
+    for v in values:
+        cls, fields = type(v), v.as_tuple()
+        assert fields == tuple(getattr(v, name) for name in cls._fields), cls
+        with pytest.raises(TypeError):
+            cls(*fields, None)
+        if cls.__init__ is _Value.__init__:  # a plain record: the base builds it
+            rebuilt = cls(*fields)
+            assert rebuilt == v and (cls.__hash__ is None or hash(rebuilt) == hash(v)), cls
+            with pytest.raises(TypeError):
+                cls(*fields[:-1])
+        if cls is ModelFile:  # assignable; path takes no part in equality
+            assert v.path is not None and cls(*fields[:-1], None) == v
+            continue
+        for name in (cls._fields[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
 
 
 def test_sigma_is_set_at_construction():
@@ -168,9 +206,9 @@ def test_validate_negative_c2():
 def test_eigen_sigma_exact_values(ex41):
     s = ex41.sigma
     assert s.eigenvalue == QuadNum(23, 4, 33)
-    assert s.eigenvalue_inv == QuadNum(23, -4, 33)
-    assert s.eigenvalue * s.eigenvalue_inv == QuadNum(1)
-    assert s.d == 33
+    assert s.eigenvalue.conjugate() == QuadNum(23, -4, 33)
+    assert s.eigenvalue * s.eigenvalue.conjugate() == QuadNum(1)
+    assert s.eigenvalue.d == 33
     assert s.ray1 == DivisorClass(QuadNum(-3, Fraction(1, 2), 33), QuadNum(1))
     # contracting ray is sign-flipped so the movable cone contains the nef cone
     assert s.ray2 == DivisorClass(QuadNum(3, Fraction(1, 2), 33), QuadNum(-1))
@@ -186,7 +224,7 @@ def test_eigenrays_are_exact_eigenvectors(dyn, request):
     dyn = request.getfixturevalue(dyn)
     s = dyn.sigma
     sig = dyn.model.sigma
-    for ray, ev in ((s.ray1, s.eigenvalue), (s.ray2, s.eigenvalue_inv)):
+    for ray, ev in ((s.ray1, s.eigenvalue), (s.ray2, s.eigenvalue.conjugate())):
         img = sig.apply(ray)
         assert img.p == ray.p * ev and img.q == ray.q * ev
 

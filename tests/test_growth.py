@@ -114,7 +114,7 @@ def test_sweep_skip_flags_non_movable_records(ex41):
 
 def _records(pairs):
     # estimate_exponent reads only m, h0 and the skip flag
-    return [SweepRecord(m, None, h0, None, 0) for m, h0 in pairs]
+    return [SweepRecord(m, None, h0, None, 0, False) for m, h0 in pairs]
 
 
 def test_estimate_exponent_takes_integers_past_the_float_range():
@@ -156,7 +156,7 @@ def test_control_slope_matches_direct_chi(ex41):
 
 def test_estimate_exponent_errors():
     def rec(m, h0):
-        return SweepRecord(m, D(1, 1), h0, QuadNum(1), 0)
+        return SweepRecord(m, D(1, 1), h0, QuadNum(1), 0, False)
 
     with pytest.raises(ValueError):
         estimate_exponent([rec(2**k, 10) for k in range(8, 13)])  # too few
