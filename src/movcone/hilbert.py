@@ -6,11 +6,13 @@ fewer variables), once per ideal.  Each column is a monomial whose exponent
 vectors are packed into one integer per kind, in base a+1 (x) or b+1 (y): a
 degree-a exponent is at most a, so a generator term's key plus a
 multiplier's key is the product's key, with no carries.  The relation matrix
-is more than 99% zeros, so each row is a dict {column: coefficient}, and the
+is more than 99% zeros, so a row m*f is the list of its columns, leading
+monomial first, beside the coefficients of f that all rows of f share.  The
 elimination follows the row order of F4's linear algebra (Faugere-Lachartre):
 signature order (below), which is shortest first, each row reduced against
-monic pivot rows keyed by their highest column, which keeps the pivot rows
-sparse.
+pivot rows keyed by their highest column, which keeps them sparse.  A pivot
+row is kept as built, beside the inverse of its leading entry, so a row that
+meets no pivot, as most do, becomes one with no dict and no reduction.
 
 One monomial order numbers the columns, picks the pivots and gives the
 leading monomials below: grevlex within each kind (x0 > x1 > ..., likewise
@@ -302,38 +304,54 @@ def _divisors(e: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
     return [f for f in product(*(range(k + 1) for k in e)) if sum(f) == d] if sum(e) >= d else []
 
 
-def _rank_mod(rows: list[dict], n: int, zeros: list[int] | None = None) -> int | None:
-    """Rank of sparse integer rows {column: coefficient} modulo n, a prime or
-    a product of two distinct primes, or None once a leading entry is not a
-    unit mod n.  Rows are reduced mod n and taken in the order given, each
-    reduced against monic pivot rows keyed by their highest column, so the
-    pivot rows stay sparse.  In hilbert_dim's column numbering the highest
-    column is the leading monomial in grevlex per kind, x block first.  The
-    index of each row that reduces to zero is appended to zeros.  A prime n
-    never gives None."""
-    pivots: dict[int, dict] = {}
-    for i, row in enumerate(rows):
-        row = {c: v % n for c, v in row.items() if v % n}
-        while row:
-            c = max(row)
-            pivot = pivots.get(c)
-            if pivot is None:
+def _rank_mod(groups: list[tuple], n: int, zeros: list[int] | None = None) -> int | None:
+    """Rank of sparse integer rows modulo n, a prime or a product of two
+    distinct primes, or None once a leading entry is not a unit mod n.  Rows
+    come in groups (coefficients, [columns, ...]), taken in order: a row's
+    columns pair with its group's coefficients, its highest column first.
+    Each row is reduced against pivot rows keyed by their highest column,
+    kept as built beside the inverse of their leading entry, which a group
+    computes at most once.  A row whose highest column has no pivot yet
+    becomes one as built; only a row that meets a pivot, or a row of a
+    group with a coefficient that is 0 mod n, is reduced as a dict {column:
+    coefficient}.  The index of each row that reduces to zero, over all
+    groups, is appended to zeros.  A prime n never gives None."""
+    pivots: dict[int, tuple] = {}  # column -> (columns, coefficients, inverse of the leading entry)
+    i = -1
+    for coeffs, rows in groups:
+        coeffs = [v % n for v in coeffs]
+        as_built = coeffs and all(coeffs)
+        inv = None
+        for cols in rows:
+            i += 1
+            if as_built and cols[0] not in pivots:
                 try:
-                    inv = pow(row[c], -1, n)
+                    inv = inv or pow(coeffs[0], -1, n)
                 except ValueError:
                     return None
-                pivots[c] = {k: v * inv % n for k, v in row.items()}
-                break
-            f = row[c]
-            for k, v in pivot.items():
-                w = (row.get(k, 0) - f * v) % n
-                if w:
-                    row[k] = w
-                else:
-                    del row[k]
-        else:
-            if zeros is not None:
-                zeros.append(i)
+                pivots[cols[0]] = cols, coeffs, inv
+                continue
+            row = {c: v for c, v in zip(cols, coeffs) if v}
+            while row:
+                c = max(row)
+                pivot = pivots.get(c)
+                if pivot is None:
+                    try:
+                        pivots[c] = row.keys(), row.values(), pow(row[c], -1, n)
+                    except ValueError:
+                        return None
+                    break
+                pcols, pcoeffs, pinv = pivot
+                f = row[c] * pinv % n
+                for k, v in zip(pcols, pcoeffs):
+                    w = (row.get(k, 0) - f * v) % n
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+            else:
+                if zeros is not None:
+                    zeros.append(i)
     return len(pivots)
 
 
@@ -411,7 +429,7 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
     ny = len(yi)
     ncols = len(xi) * ny
 
-    rows, sigs = [], []  # each kept row m*f_j and its signature (j, x key, y key of m)
+    groups, sigs = [], []  # the kept rows m*f_j per generator, and each one's signature (j, x key, y key of m)
     leads = []  # the leading monomial of each earlier generator
     learned = ideal.syzygy_signatures
     for j, g in enumerate(ideal.generators):
@@ -420,7 +438,9 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
             continue
         gx = [_pack(xe, a + 1) for (xe, _), _ in g.terms]
         gy = [_pack(ye, b + 1) for (_, ye), _ in g.terms]
-        coeffs = [c for _, c in g.terms]
+        # LM(g) is g's term in the highest column of every row m*g: the
+        # smallest x key, then the smallest y key; it goes first
+        gx, gy, terms = zip(*sorted(zip(gx, gy, g.terms)))
         # skip[x key] = y keys of the multipliers s*t of g, for s the leading
         # monomial of an earlier generator or a learned syzygy multiplier of
         # g: those rows lie in the span of the kept rows
@@ -432,8 +452,9 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
                 tys = [ly + t for t in _monomials(ring.y_count, b - gb - lb, b + 1)]
                 for t in _monomials(ring.x_count, a - ga - la, a + 1):
                     skip.setdefault(lx + t, set()).update(tys)
-        # LM(g) is g's term in the highest column: the smallest x key, then the smallest y key
-        leads.append(min(zip(gx, gy, g.terms))[2][0])
+        leads.append(terms[0][0])
+        rows: list[list[int]] = []
+        groups.append((tuple(c for _, c in terms), rows))
         ys = [(yq, [yi[k + yq] for k in gy]) for yq in _monomials(ring.y_count, b - gb, b + 1)]
         for xq in _monomials(ring.x_count, a - ga, a + 1):
             xs = [xi[k + xq] * ny for k in gx]
@@ -441,10 +462,10 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
             for yq, y in ys:
                 if yq not in skipped:
                     sigs.append((j, xq, yq))
-                    rows.append(dict(zip(map(add, xs, y), coeffs)))
+                    rows.append(list(map(add, xs, y)))
     for p, q in _PRIME_PAIRS:
         zeros: list[int] = []
-        rank = _rank_mod(rows, p * q, zeros)
+        rank = _rank_mod(groups, p * q, zeros)
         if rank is not None:
             found: dict[int, dict] = {}
             for i in zeros:
@@ -478,14 +499,14 @@ def fit_chi(samples) -> tuple[TriForm, C2Form]:
     The system must be uniquely solvable and every extra sample must be
     reproduced exactly; anything else signals non-stabilized samples and
     raises FitInconsistency.
+
+    The elimination is fraction-free: each row is cross-multiplied by the
+    pivot and divided by its content, a nonzero multiple of the rational row.
     """
     samples = list(samples)
     if len(samples) < 6:
         raise ValueError(f"need at least 6 samples, got {len(samples)}")
-    mat = []
-    for (a, b), dim in samples:
-        row = [2 * a**3, 6 * a * a * b, 6 * a * b * b, 2 * b**3, a, b, 12 * dim]
-        mat.append([Fraction(v) for v in row])
+    mat = [[2 * a**3, 6 * a * a * b, 6 * a * b * b, 2 * b**3, a, b, 12 * dim] for (a, b), dim in samples]
 
     nrows = len(mat)
     rank = 0
@@ -495,11 +516,12 @@ def fit_chi(samples) -> tuple[TriForm, C2Form]:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         pv = mat[rank][c]
-        mat[rank] = [v / pv for v in mat[rank]]
         for i in range(nrows):
             if i != rank and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [u - f * v for u, v in zip(mat[i], mat[rank])]
+                row = [pv * u - f * v for u, v in zip(mat[i], mat[rank])]
+                d = gcd(*row)
+                mat[i] = [v // d for v in row] if d else row
         rank += 1
     if rank < 6:
         raise ValueError("sample bidegrees are degenerate: system underdetermined")
@@ -509,7 +531,7 @@ def fit_chi(samples) -> tuple[TriForm, C2Form]:
                 "over-determined system inconsistent: Hilbert values at the sampled "
                 "bidegrees do not agree with any single Euler cubic (not stabilized)"
             )
-    sol = [mat[i][6] for i in range(6)]
+    sol = [Fraction(mat[i][6], mat[i][i]) for i in range(6)]
     if any(v.denominator != 1 for v in sol):
         raise FitInconsistency(f"fit produced non-integral intersection data {sol}")
     t1, t2, t3, t4, c5, c6 = (int(v) for v in sol)

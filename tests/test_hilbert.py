@@ -1,4 +1,4 @@
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 
@@ -214,6 +214,76 @@ def test_fit_rejects_unstabilized_boundary_columns(ex41_ideal):
         fit_chi(samples)
 
 
+def _reference_fit_chi(samples):
+    """fit_chi by Gauss-Jordan elimination over Fraction rows: the
+    reference for its fraction-free integer elimination."""
+    samples = list(samples)
+    if len(samples) < 6:
+        raise ValueError(f"need at least 6 samples, got {len(samples)}")
+    mat = []
+    for (a, b), dim in samples:
+        row = [2 * a**3, 6 * a * a * b, 6 * a * b * b, 2 * b**3, a, b, 12 * dim]
+        mat.append([Fraction(v) for v in row])
+
+    nrows = len(mat)
+    rank = 0
+    for c in range(6):
+        piv = next((i for i in range(rank, nrows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pv = mat[rank][c]
+        mat[rank] = [v / pv for v in mat[rank]]
+        for i in range(nrows):
+            if i != rank and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [u - f * v for u, v in zip(mat[i], mat[rank])]
+        rank += 1
+    if rank < 6:
+        raise ValueError("sample bidegrees are degenerate: system underdetermined")
+    for i in range(rank, nrows):
+        if any(mat[i]):
+            raise FitInconsistency(
+                "over-determined system inconsistent: Hilbert values at the sampled "
+                "bidegrees do not agree with any single Euler cubic (not stabilized)"
+            )
+    sol = [mat[i][6] for i in range(6)]
+    if any(v.denominator != 1 for v in sol):
+        raise FitInconsistency(f"fit produced non-integral intersection data {sol}")
+    t1, t2, t3, t4, c5, c6 = (int(v) for v in sol)
+    return TriForm(t1, t2, t3, t4), C2Form(c5, c6)
+
+
+def _fit_outcome(fit, samples):
+    """fit's forms as tuples, or the type and message of what it raised."""
+    try:
+        tri, c2 = fit(samples)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tri.as_tuple(), c2.as_tuple()
+
+
+def test_fit_chi_matches_the_fraction_elimination():
+    # samples of a random Euler cubic at bidegrees 0..4, degree 0 included,
+    # some with one value off by one or replaced, some drawn from few
+    # bidegrees: fits, non-integral and inconsistent systems, degenerate ones
+    outcomes = set()
+    for seed in range(3000):
+        rng = random.Random(f"fit:{seed}")
+        tri = TriForm(*(rng.randint(-9, 9) for _ in range(4)))
+        c2 = C2Form(rng.randint(-60, 60), rng.randint(-60, 60))
+        span = rng.choice([2, 3, 5])
+        bidegrees = [(rng.randrange(span), rng.randrange(span)) for _ in range(rng.randint(5, 9))]
+        samples = [((a, b), (2 * tri.cube(a, b) + c2.pair(a, b)) // 12) for a, b in bidegrees]
+        if rng.random() < 0.3:
+            k = rng.randrange(len(samples))
+            samples[k] = samples[k][0], samples[k][1] + rng.choice([-1, 1, rng.randint(-99, 99)])
+        want = _fit_outcome(_reference_fit_chi, samples)
+        assert _fit_outcome(fit_chi, samples) == want, samples
+        outcomes.add(" ".join(want[1].split()[:2]) if isinstance(want[0], type) else "fit")
+    assert outcomes == {"fit", "fit produced", "over-determined system", "sample bidegrees", "need at"}
+
+
 def test_default_sample_grid():
     grid = default_sample_grid(3)
     assert len(grid) == 9
@@ -228,7 +298,13 @@ def test_default_sample_grid_rejects_degrees_past_the_cap(max_degree):
 
 
 def _sparse(matrix):
-    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    """Each row as its own group (coefficients, [columns]): its nonzero
+    entries from the highest column down."""
+    groups = []
+    for row in matrix:
+        cols = [j for j in reversed(range(len(row))) if row[j]]
+        groups.append((tuple(row[j] for j in cols), [cols]))
+    return groups
 
 
 def test_rank_agrees_across_primes():
@@ -311,11 +387,98 @@ def test_rank_mod_pair_is_none_or_the_rank_mod_both_primes():
     assert outcomes == {True, False}
 
 
+def _reference_rank_mod(rows, n, zeros=None):
+    """Rank of dict rows {column: coefficient} modulo n by reduction against
+    monic pivot rows keyed by their highest column, or None once a leading
+    entry is not a unit: the reference for _rank_mod on grouped rows."""
+    pivots = {}
+    for i, row in enumerate(rows):
+        row = {c: v % n for c, v in row.items() if v % n}
+        while row:
+            c = max(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                try:
+                    inv = pow(row[c], -1, n)
+                except ValueError:
+                    return None
+                pivots[c] = {k: v * inv % n for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                w = (row.get(k, 0) - f * v) % n
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+        else:
+            if zeros is not None:
+                zeros.append(i)
+    return len(pivots)
+
+
+def _random_groups(rng, n, p):
+    """Groups (coefficients, [columns, ...]) over at most 8 columns, each
+    row's highest column first: coefficients up to 9 in size, lifted by n
+    or by p alone, some groups reusing an earlier coefficient tuple, some
+    with a leading coefficient that is 0 or a multiple of p modulo n, and
+    about half the time a first group of unit rows that makes later leading
+    columns meet pivots."""
+    ncols = rng.randint(1, 8)
+    groups = []
+    if rng.random() < 0.5:
+        groups.append(((rng.choice([1, -1, 5]),), [[c] for c in rng.sample(range(ncols), rng.randint(1, ncols))]))
+    for _ in range(rng.randint(1, 5)):
+        if groups and rng.random() < 0.25:
+            coeffs = rng.choice(groups)[0]
+        else:
+            coeffs = [rng.choice([-9, -2, -1, 1, 2, 3, 7]) + rng.choice([0, 0, 0, n, -n, p, n << 70])
+                      for _ in range(rng.randint(0, min(4, ncols)))]
+            if coeffs and rng.random() < 0.3:
+                coeffs[0] = rng.choice([0, n, p, 3 * p])
+            coeffs = tuple(coeffs)
+        rows = []
+        for _ in range(rng.randint(0, 4)):
+            cols = rng.sample(range(ncols), len(coeffs))
+            rest = sorted(cols)[:-1]
+            rng.shuffle(rest)
+            rows.append(([max(cols)] if cols else []) + rest)
+        groups.append((coeffs, rows))
+    return groups
+
+
+def test_rank_mod_matches_the_dict_elimination():
+    # the same rank or None, and the same zero rows, as one dict per row
+    # reduced against monic pivots; the groups come back unchanged
+    outcomes = set()
+    for seed in range(6000):
+        rng = random.Random(f"groups:{seed}")
+        p, q = rng.choice(_PRIME_PAIRS)
+        n = rng.choice([p * q, p * q, p])
+        groups = _random_groups(rng, n, p)
+        before = repr(groups)
+        zeros, want_zeros = [], []
+        rank = _rank_mod(groups, n, zeros)
+        want = _reference_rank_mod([dict(zip(cols, coeffs)) for coeffs, rows in groups for cols in rows], n, want_zeros)
+        assert (rank, zeros) == (want, want_zeros), seed
+        assert repr(groups) == before, seed
+        leads = {coeffs[0] % n for coeffs, rows in groups if coeffs and rows}
+        outcomes |= {
+            "None": want is None,
+            "rank": want is not None,
+            "zero rows": bool(want_zeros) and want is not None,
+            "lead 0 mod n": 0 in leads,
+            "non-unit lead, rank": want is not None and any(v and gcd(v, n) > 1 for v in leads),
+        }.items()
+    assert {name for name, hit in outcomes if hit} == {"None", "rank", "zero rows", "lead 0 mod n",
+                                                       "non-unit lead, rank"}
+
+
 def test_non_unit_entry_moves_to_the_next_pair():
     # 2147483647 is the first prime of pair 1 and a unit modulo pair 2
     (p, q), (p2, q2), _ = _PRIME_PAIRS
-    assert _rank_mod([{0: p}], p * q) is None
-    assert _rank_mod([{0: p}], p2 * q2) == 1
+    assert _rank_mod([((p,), [[0]])], p * q) is None
+    assert _rank_mod([((p,), [[0]])], p2 * q2) == 1
     ideal = parse_ideal_text(f"ring x=1 y=1\n{p}*x0*y0")
     assert hilbert_dim(ideal, (1, 1)) == 0
     assert hilbert_dim(ideal, (0, 0)) == 1
@@ -400,10 +563,16 @@ def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
     # the returned dimension plus the rank
     seen = set()
 
-    def spy(rows, n, zeros):
-        assert all(0 <= c < 150 for row in rows for c in row)
-        rank = _rank_mod(rows, n, zeros)
-        seen.add((len(rows), rank))
+    def spy(groups, n, zeros):
+        # one group per generator, whose rows share its coefficient tuple,
+        # one column per coefficient, and every row's first column is its highest
+        assert [sorted(coeffs) for coeffs, _ in groups] == [sorted(c for _, c in g.terms) for g in sub.generators]
+        for coeffs, rows in groups:
+            for cols in rows:
+                assert len(set(cols)) == len(cols) == len(coeffs)
+                assert cols[0] == max(cols) and all(0 <= c < 150 for c in cols)
+        rank = _rank_mod(groups, n, zeros)
+        seen.add((_row_count(groups), rank))
         return rank
 
     monkeypatch.setattr(hilbert, "_rank_mod", spy)
@@ -518,13 +687,17 @@ def test_indented_generator_reports_its_column():
         parse_ideal_text("ring x=2 y=2\n\n  x0*x\n")
 
 
+def _row_count(groups):
+    return sum(len(rows) for _, rows in groups)
+
+
 def _record_ranks(monkeypatch):
     """Wrap _rank_mod to record (row count, modulus, rank) of each call."""
     seen = []
 
-    def spy(rows, n, zeros):
-        rank = _rank_mod(rows, n, zeros)
-        seen.append((len(rows), n, rank))
+    def spy(groups, n, zeros):
+        rank = _rank_mod(groups, n, zeros)
+        seen.append((_row_count(groups), n, rank))
         return rank
 
     monkeypatch.setattr(hilbert, "_rank_mod", spy)
@@ -558,12 +731,13 @@ def test_example41_4x4_ranks_2347_rows(ex41_ideal, monkeypatch):
 
 
 def _record_rows(monkeypatch):
-    """Wrap _rank_mod to record the rows of each call."""
+    """Wrap _rank_mod to record the rows of each call, each as a dict
+    {column: coefficient}."""
     seen = []
 
-    def spy(rows, n, zeros):
-        seen.append(rows)
-        return _rank_mod(rows, n, zeros)
+    def spy(groups, n, zeros):
+        seen.append([dict(zip(cols, coeffs)) for coeffs, rows in groups for cols in rows])
+        return _rank_mod(groups, n, zeros)
 
     monkeypatch.setattr(hilbert, "_rank_mod", spy)
     return seen
@@ -670,30 +844,33 @@ def _exponents(n, d):
 
 
 def _all_rows(ideal, a, b):
-    """Column count and every row m*g {column: coefficient} of the relation
-    matrix, in generator order, with no row dropped."""
+    """Column count and every row m*g of the relation matrix, in generator
+    order, with no row dropped: one group (coefficients, [columns, ...]) per
+    generator.  The columns run in lex order on (x exponents, y exponents),
+    a monomial order, so g's lex-largest term comes first in every row."""
     ring = ideal.ring
     cols = list(product(_exponents(ring.x_count, a), _exponents(ring.y_count, b)))
     index = {c: i for i, c in enumerate(cols)}
-    rows = []
+    groups = []
     for g in ideal.generators:
         ga, gb = g.bidegree
         if ga > a or gb > b:
             continue
-        for xq, yq in product(_exponents(ring.x_count, a - ga), _exponents(ring.y_count, b - gb)):
-            rows.append({
-                index[tuple(map(sum, zip(xe, xq))), tuple(map(sum, zip(ye, yq)))]: c for (xe, ye), c in g.terms
-            })
-    return len(cols), rows
+        terms = sorted(g.terms, reverse=True)
+        groups.append((tuple(c for _, c in terms), [
+            [index[tuple(map(sum, zip(xe, xq))), tuple(map(sum, zip(ye, yq)))] for (xe, ye), _ in terms]
+            for xq, yq in product(_exponents(ring.x_count, a - ga), _exponents(ring.y_count, b - gb))
+        ]))
+    return len(cols), groups
 
 
 def _dim_over_q(ideal, a, b):
     """Monomials minus the rank over Q of the unsubstituted relation matrix,
     by exact echelon reduction of sparse Fraction rows."""
-    ncols, rows = _all_rows(ideal, a, b)
+    ncols, groups = _all_rows(ideal, a, b)
     pivots = {}  # column -> reduced row with 1 there
-    for row in rows:
-        row = {k: Fraction(v) for k, v in row.items()}
+    for row in (zip(cols, coeffs) for coeffs, rows in groups for cols in rows):
+        row = {k: Fraction(v) for k, v in row}
         while row:
             col = min(row)
             if col not in pivots:
@@ -805,7 +982,7 @@ def test_chain_of_199_forms_pins_its_dimensions():
 def test_rank_mod_takes_rows_in_order_and_lists_the_zero_rows():
     # row 2 is row 0 less row 1 and row 3 is twice row 0; taken shortest
     # first, row 0 would reduce to zero instead of row 2
-    rows = [{0: 1, 1: 1, 2: 1}, {0: 1}, {1: 1, 2: 1}, {0: 2, 1: 2, 2: 2}]
+    rows = [((1, 1, 1), [[2, 1, 0]]), ((1,), [[0]]), ((1, 1), [[2, 1]]), ((2, 2, 2), [[2, 1, 0]])]
     zeros = []
     assert _rank_mod(rows, PRIMES[0], zeros) == 2
     assert zeros == [2, 3]
@@ -828,16 +1005,19 @@ def _mul(m, n):
 
 
 def _signature_rows(ideal, a, b):
-    """Every row m*f_j of the bidegree (a, b) piece as ((j, m), {column:
-    coefficient}), in signature order: j the position of f_j in ideal's
-    generators, then the multiplier m in the column order."""
+    """Every row m*f_j of the bidegree (a, b) piece as ((j, m), (coefficients,
+    [columns])), in signature order: j the position of f_j in ideal's
+    generators, then the multiplier m in the column order.  The rows of f_j
+    share one coefficient tuple, its leading term first."""
     nx, ny = ideal.ring.x_count, ideal.ring.y_count
     index = {c: i for i, c in enumerate(_column_order(nx, ny, a, b))}
     rows = []
     for j, g in enumerate(ideal.generators):
         ga, gb = g.bidegree
         if ga <= a and gb <= b:
-            rows.extend(((j, m), {index[_mul(m, mono)]: c for mono, c in g.terms})
+            terms = sorted(g.terms, key=lambda t: _column_key(t[0]), reverse=True)
+            coeffs = tuple(c for _, c in terms)
+            rows.extend(((j, m), (coeffs, [[index[_mul(m, mono)] for mono, _ in terms]]))
                         for m in _column_order(nx, ny, a - ga, b - gb))
     return rows
 
