@@ -25,9 +25,8 @@ _EXPORTS = {
         "sweep", "write_csv",
     ),
     "hilbert": (
-        "BiPoly", "BiPolyRing", "FitInconsistency", "IdealSpec", "PolyParseError",
-        "RankDisagreement", "default_sample_grid", "fit_chi", "hilbert_dim",
-        "load_ideal_file", "merge_ideals", "parse_ideal_text", "parse_poly",
+        "BiPoly", "BiPolyRing", "FitInconsistency", "IdealSpec", "PolyParseError", "default_sample_grid",
+        "fit_chi", "hilbert_dim", "load_ideal_file", "merge_ideals", "parse_ideal_text", "parse_poly",
     ),
     "models": (
         "ModelFile", "ModelParseError", "bundled_model_path", "list_bundled_models",

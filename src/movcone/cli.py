@@ -253,7 +253,7 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
                 (bd, hilbert.hilbert_dim(ideal, bd)) for bd in hilbert.default_sample_grid(grid)
             ]
             results["hilbert-fit"] = hilbert.fit_chi(samples)
-        except (ValueError, hilbert.RankDisagreement) as exc:
+        except ValueError as exc:
             _fail(EXIT_VALIDATION, f"hilbert derivation failed: {exc}")
         _echo(f"hilbert fit over {len(samples)} bidegrees in {time.perf_counter() - t0:.1f}s")
 

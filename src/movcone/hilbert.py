@@ -49,19 +49,16 @@ fresh ideal and 3,475 with no row dropped.  The 32 ranks of both bundled
 ideals at bidegrees 1..4, in increasing order on fresh ideals, take 3,021
 reduction steps, against 11,800 with the Koszul syzygies alone.
 
-The rank is certified by one elimination modulo n = p*q for a pair of
-distinct primes below 2^31, from a fixed table of three pairs.  By the CRT,
-Z/n = F_p x F_q, so while every leading entry is a unit mod n the run is at
-once an elimination over F_p and one over F_q with the same pivots: the
-pivot count is the rank mod p and the rank mod q, and the two agree by
-construction.  A leading entry that is not a unit (one prime divides it)
-stops the run, and the next pair is tried.  A prime that divides a leading
-coefficient c may see a lower rank of the kept rows than of all rows; like
-a prime that divides the minors, it is caught unless the other prime of its
-pair loses the same rank.  A learned signature inherits the trust of the
-rank that found it: only the certifying pair's zero rows are learned, and
-if both its primes lose the same rank, the false syzygy drops rows from
-every larger piece, so the error carries to them.
+Every dimension is exact over Q, and so is every learned signature.  Each
+piece is eliminated once modulo _PRIME, and for the kept rows K and any
+prime p, rank_p(K) <= rank_Q(K) <= min(|K|, #columns).  So the pivot count
+is the rank over Q when no row reduced to zero, or when the pivots fill
+every column: that piece has dimension 0 and learns nothing, as a row that
+is zero mod p need not be zero over Q.  Any other piece is eliminated again
+over the integers in the same signature order (_rank_exact), and only the
+rows that are zero there are learned.  A total alone would not do: rows
+(1, 1), (0, p), (0, 1) have rank 2 over Q and mod p, yet (0, p) is not in
+the span of (1, 1).
 
 An exact linear fit then inverts the Euler-characteristic cubic to recover
 triple intersection numbers and c2-degrees.
@@ -87,13 +84,8 @@ MAX_PIECE_MONOMIALS = 200_000
 # n exponents per kind, so ranking a degree-1 piece costs O(n^2) bits.
 MAX_RING_VARIABLES = 1_000
 
-# A prime gives a lower rank than Q exactly when it divides the gcd of the
-# matrix's maximal nonzero minors; a pair agrees wrongly only if both do.
-_PRIME_PAIRS = (
-    (2147483647, 2147483629),
-    (2147483587, 2147483579),
-    (2147483563, 2147483549),
-)
+# The modulus of every first elimination; below 2^30, a residue is one CPython digit
+_PRIME = 1073741789
 
 
 class PolyParseError(ValueError):
@@ -102,12 +94,6 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class RankDisagreement(RuntimeError):
-    """No prime pair certified the rank: each elimination modulo p*q met a
-    leading entry that is not a unit, where the ranks mod p and mod q may
-    differ."""
 
 
 class FitInconsistency(ValueError):
@@ -304,54 +290,72 @@ def _divisors(e: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
     return [f for f in product(*(range(k + 1) for k in e)) if sum(f) == d] if sum(e) >= d else []
 
 
-def _rank_mod(groups: list[tuple], n: int, zeros: list[int] | None = None) -> int | None:
-    """Rank of sparse integer rows modulo n, a prime or a product of two
-    distinct primes, or None once a leading entry is not a unit mod n.  Rows
-    come in groups (coefficients, [columns, ...]), taken in order: a row's
-    columns pair with its group's coefficients, its highest column first.
+def _rank_mod(groups: list[tuple], p: int, zeros: list[int] | None = None) -> int:
+    """Rank of sparse integer rows modulo a prime p.  Rows come in groups
+    (coefficients, [columns, ...]), taken in order: a row's columns pair
+    with its group's coefficients, its highest column first.
     Each row is reduced against pivot rows keyed by their highest column,
     kept as built beside the inverse of their leading entry, which a group
     computes at most once.  A row whose highest column has no pivot yet
     becomes one as built; only a row that meets a pivot, or a row of a
-    group with a coefficient that is 0 mod n, is reduced as a dict {column:
+    group with a coefficient that is 0 mod p, is reduced as a dict {column:
     coefficient}.  The index of each row that reduces to zero, over all
-    groups, is appended to zeros.  A prime n never gives None."""
+    groups, is appended to zeros."""
     pivots: dict[int, tuple] = {}  # column -> (columns, coefficients, inverse of the leading entry)
     i = -1
     for coeffs, rows in groups:
-        coeffs = [v % n for v in coeffs]
+        coeffs = [v % p for v in coeffs]
         as_built = coeffs and all(coeffs)
         inv = None
         for cols in rows:
             i += 1
             if as_built and cols[0] not in pivots:
-                try:
-                    inv = inv or pow(coeffs[0], -1, n)
-                except ValueError:
-                    return None
+                inv = inv or pow(coeffs[0], -1, p)
                 pivots[cols[0]] = cols, coeffs, inv
                 continue
             row = {c: v for c, v in zip(cols, coeffs) if v}
             while row:
                 c = max(row)
-                pivot = pivots.get(c)
-                if pivot is None:
-                    try:
-                        pivots[c] = row.keys(), row.values(), pow(row[c], -1, n)
-                    except ValueError:
-                        return None
+                if (pivot := pivots.get(c)) is None:
+                    pivots[c] = row.keys(), row.values(), pow(row[c], -1, p)
                     break
                 pcols, pcoeffs, pinv = pivot
-                f = row[c] * pinv % n
+                f = row[c] * pinv % p
                 for k, v in zip(pcols, pcoeffs):
-                    w = (row.get(k, 0) - f * v) % n
-                    if w:
+                    if w := (row.get(k, 0) - f * v) % p:
                         row[k] = w
                     else:
                         del row[k]
             else:
                 if zeros is not None:
                     zeros.append(i)
+    return len(pivots)
+
+
+def _rank_exact(groups: list[tuple], zeros: list[int]) -> int:
+    """Rank over Q of _rank_mod's rows, taken in the same order, and their
+    zero rows, appended to zeros: fraction-free over the integers, each
+    reduction step cross-multiplies by the two leading entries over their
+    gcd, and each new pivot is divided by its content."""
+    pivots: dict[int, dict] = {}  # column -> primitive row with its highest entry there
+    for i, row in enumerate(dict(zip(cols, coeffs)) for coeffs, rows in groups for cols in rows):
+        while row:
+            c = max(row)
+            if (pivot := pivots.get(c)) is None:
+                d = gcd(*row.values())
+                pivots[c] = {k: v // d for k, v in row.items()}
+                break
+            g = gcd(pivot[c], row[c])
+            u, f = pivot[c] // g, row[c] // g
+            if u != 1:
+                row = {k: u * v for k, v in row.items()}
+            for k, v in pivot.items():
+                if w := row.get(k, 0) - f * v:
+                    row[k] = w
+                else:
+                    del row[k]
+        else:
+            zeros.append(i)
     return len(pivots)
 
 
@@ -463,25 +467,21 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
                 if yq not in skipped:
                     sigs.append((j, xq, yq))
                     rows.append(list(map(add, xs, y)))
-    for p, q in _PRIME_PAIRS:
-        zeros: list[int] = []
-        rank = _rank_mod(groups, p * q, zeros)
-        if rank is not None:
-            found: dict[int, dict] = {}
-            for i in zeros:
-                j, xq, yq = sigs[i]
-                m = _unpack(xq, ring.x_count, a + 1), _unpack(yq, ring.y_count, b + 1)
-                found.setdefault(j, {})[m] = None
-            # the multipliers found for f_j share one degree (dx, dy), and none
-            # is a multiple of a learned one; drop the learned ones they divide
-            for j, ms in found.items():
-                dx, dy = map(sum, next(iter(ms)))
-                learned[j] = [s for s in learned.get(j, ()) if not any(
-                    (u, v) in ms for u in _divisors(s[0], dx) for v in _divisors(s[1], dy))] + list(ms)
-            return ncols - rank
-    raise RankDisagreement(
-        f"rank at bidegree {bidegree} met a non-unit pivot modulo all three prime pairs"
-    )
+    zeros: list[int] = []
+    rank = _rank_mod(groups, _PRIME, zeros)
+    if zeros:  # maybe not zero over Q: rank over Z unless the pivots fill every column
+        zeros.clear()
+        rank = _rank_exact(groups, zeros) if rank < ncols else rank
+    found: dict[int, dict] = {}
+    for j, xq, yq in (sigs[i] for i in zeros):
+        found.setdefault(j, {})[_unpack(xq, ring.x_count, a + 1), _unpack(yq, ring.y_count, b + 1)] = None
+    # the multipliers found for f_j share one degree (dx, dy), and none is a
+    # multiple of a learned one; drop the learned ones they divide
+    for j, ms in found.items():
+        dx, dy = map(sum, next(iter(ms)))
+        learned[j] = [s for s in learned.get(j, ()) if not any(
+            (u, v) in ms for u in _divisors(s[0], dx) for v in _divisors(s[1], dy))] + list(ms)
+    return ncols - rank
 
 
 def default_sample_grid(max_degree: int = 3) -> list[tuple[int, int]]:

@@ -8,7 +8,6 @@ from movcone import (
     FitInconsistency,
     IdealSpec,
     PolyParseError,
-    RankDisagreement,
     default_sample_grid,
     fit_chi,
     hilbert_dim,
@@ -17,7 +16,7 @@ from movcone import (
 )
 from movcone import C2Form, TriForm, hilbert, intersection_data
 from movcone.chow import CIData, MultiProjAmbient
-from movcone.hilbert import MAX_PIECE_MONOMIALS, MAX_RING_VARIABLES, _PRIME_PAIRS, _rank_mod, _substitute_linear
+from movcone.hilbert import MAX_PIECE_MONOMIALS, MAX_RING_VARIABLES, _PRIME, _rank_exact, _rank_mod, _substitute_linear
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
@@ -28,7 +27,6 @@ import re
 from test_acceptance import _pfaffian_model_expected
 
 RING46 = BiPolyRing(4, 6)
-PRIMES = [p for pair in _PRIME_PAIRS for p in pair]
 
 
 def test_parse_pluecker_quadric():
@@ -310,7 +308,7 @@ def _sparse(matrix):
 def test_rank_agrees_across_primes():
     rng = random.Random(3)
     base = _sparse([[rng.randint(-4, 4) for _ in range(30)] for _ in range(40)])
-    ranks = {_rank_mod(base, p) for p in PRIMES}
+    ranks = {_rank_mod(base, p) for p in (_PRIME, 2147483647, 1000000007)}
     assert len(ranks) == 1
 
 
@@ -354,7 +352,7 @@ def test_rank_mod_p_matches_exact_rank_over_q(seed, kind):
     # become coefficients equal to p or 2^70 p that the rank must ignore
     rng = random.Random(f"{kind}:{seed}")
     matrix = _test_matrix(rng, kind)
-    p = rng.choice(PRIMES)
+    p = _PRIME
     lifted = [[v + p * rng.choice([0, 0, 1, -1, 1 << 70]) for v in row] for row in matrix]
     assert _rank_mod(_sparse(lifted), p) == _rank_over_q(matrix)
 
@@ -362,51 +360,38 @@ def test_rank_mod_p_matches_exact_rank_over_q(seed, kind):
 @pytest.mark.parametrize("kind", ["dense", "sparse", "deficient"])
 @pytest.mark.parametrize("seed", range(20))
 def test_rank_mod_pair_matches_exact_rank_over_q(seed, kind):
-    # one elimination modulo n = p*q; entries lifted by multiples of n
+    # hilbert_dim's pair of eliminations, modulo a prime and then over Z:
+    # entries lifted by multiples of a small prime p, often 2^70 p, so rows
+    # fall to zero mod p that are not zero over Q.  The elimination over Z
+    # has the rank over Q, and its zero rows are the rows in the span of the
+    # rows before them
     rng = random.Random(f"pair:{kind}:{seed}")
     matrix = _test_matrix(rng, kind)
-    p, q = rng.choice(_PRIME_PAIRS)
-    lifted = [[v + p * q * rng.choice([0, 0, 1, -1, 1 << 70]) for v in row] for row in matrix]
-    rank = _rank_mod(_sparse(lifted), p * q)
-    assert rank is None or rank == _rank_over_q(matrix)
+    p = rng.choice([2, 3, 5, 7])
+    lifted = [[v + p * rng.choice([0, 0, 1, -1, 1 << 70]) for v in row] for row in matrix]
+    zeros = []
+    rank = _rank_exact(_sparse(lifted), zeros)
+    assert _rank_mod(_sparse(lifted), p) <= rank == _rank_over_q(lifted)
+    assert zeros == [i for i in range(len(lifted)) if _rank_over_q(lifted[:i + 1]) == _rank_over_q(lifted[:i])]
 
 
-def test_rank_mod_pair_is_none_or_the_rank_mod_both_primes():
-    # zero entries lifted by p alone are non-units mod p*q: a run either
-    # stops at one (None) or its pivot count is the rank mod p and mod q
-    outcomes = set()
-    for seed in range(60):
-        rng = random.Random(f"crt:{seed}")
-        matrix = _test_matrix(rng, rng.choice(["dense", "sparse", "deficient"]))
-        p, q = rng.choice(_PRIME_PAIRS)
-        rows = _sparse([[v or p * rng.choice([0, 0, 1, 5]) for v in row] for row in matrix])
-        rank = _rank_mod(rows, p * q)
-        if rank is not None:
-            assert rank == _rank_mod(rows, p) == _rank_mod(rows, q), seed
-        outcomes.add(rank is None)
-    assert outcomes == {True, False}
-
-
-def _reference_rank_mod(rows, n, zeros=None):
-    """Rank of dict rows {column: coefficient} modulo n by reduction against
-    monic pivot rows keyed by their highest column, or None once a leading
-    entry is not a unit: the reference for _rank_mod on grouped rows."""
+def _reference_rank_mod(rows, p, zeros=None):
+    """Rank of dict rows {column: coefficient} modulo a prime p by reduction
+    against monic pivot rows keyed by their highest column: the reference
+    for _rank_mod on grouped rows."""
     pivots = {}
     for i, row in enumerate(rows):
-        row = {c: v % n for c, v in row.items() if v % n}
+        row = {c: v % p for c, v in row.items() if v % p}
         while row:
             c = max(row)
             pivot = pivots.get(c)
             if pivot is None:
-                try:
-                    inv = pow(row[c], -1, n)
-                except ValueError:
-                    return None
-                pivots[c] = {k: v * inv % n for k, v in row.items()}
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
                 break
             f = row[c]
             for k, v in pivot.items():
-                w = (row.get(k, 0) - f * v) % n
+                w = (row.get(k, 0) - f * v) % p
                 if w:
                     row[k] = w
                 else:
@@ -417,12 +402,12 @@ def _reference_rank_mod(rows, n, zeros=None):
     return len(pivots)
 
 
-def _random_groups(rng, n, p):
+def _random_groups(rng, p):
     """Groups (coefficients, [columns, ...]) over at most 8 columns, each
-    row's highest column first: coefficients up to 9 in size, lifted by n
-    or by p alone, some groups reusing an earlier coefficient tuple, some
-    with a leading coefficient that is 0 or a multiple of p modulo n, and
-    about half the time a first group of unit rows that makes later leading
+    row's highest column first: coefficients up to 9 in size, lifted by
+    multiples of the prime p, some groups reusing an earlier coefficient
+    tuple, some with a leading coefficient that is 0 modulo p, and about
+    half the time a first group of unit rows that makes later leading
     columns meet pivots."""
     ncols = rng.randint(1, 8)
     groups = []
@@ -432,10 +417,10 @@ def _random_groups(rng, n, p):
         if groups and rng.random() < 0.25:
             coeffs = rng.choice(groups)[0]
         else:
-            coeffs = [rng.choice([-9, -2, -1, 1, 2, 3, 7]) + rng.choice([0, 0, 0, n, -n, p, n << 70])
+            coeffs = [rng.choice([-9, -2, -1, 1, 2, 3, 7]) + rng.choice([0, 0, 0, p, -p, 3 * p, p << 70])
                       for _ in range(rng.randint(0, min(4, ncols)))]
             if coeffs and rng.random() < 0.3:
-                coeffs[0] = rng.choice([0, n, p, 3 * p])
+                coeffs[0] = rng.choice([0, p, 3 * p])
             coeffs = tuple(coeffs)
         rows = []
         for _ in range(rng.randint(0, 4)):
@@ -448,76 +433,48 @@ def _random_groups(rng, n, p):
 
 
 def test_rank_mod_matches_the_dict_elimination():
-    # the same rank or None, and the same zero rows, as one dict per row
-    # reduced against monic pivots; the groups come back unchanged
+    # the same rank and the same zero rows as one dict per row reduced
+    # against monic pivots; the groups come back unchanged
     outcomes = set()
     for seed in range(6000):
         rng = random.Random(f"groups:{seed}")
-        p, q = rng.choice(_PRIME_PAIRS)
-        n = rng.choice([p * q, p * q, p])
-        groups = _random_groups(rng, n, p)
+        p = rng.choice([_PRIME, _PRIME, 3, 7])
+        groups = _random_groups(rng, p)
         before = repr(groups)
         zeros, want_zeros = [], []
-        rank = _rank_mod(groups, n, zeros)
-        want = _reference_rank_mod([dict(zip(cols, coeffs)) for coeffs, rows in groups for cols in rows], n, want_zeros)
+        rank = _rank_mod(groups, p, zeros)
+        want = _reference_rank_mod([dict(zip(cols, coeffs)) for coeffs, rows in groups for cols in rows], p, want_zeros)
         assert (rank, zeros) == (want, want_zeros), seed
         assert repr(groups) == before, seed
-        leads = {coeffs[0] % n for coeffs, rows in groups if coeffs and rows}
+        leads = {coeffs[0] % p for coeffs, rows in groups if coeffs and rows}
         outcomes |= {
-            "None": want is None,
-            "rank": want is not None,
-            "zero rows": bool(want_zeros) and want is not None,
-            "lead 0 mod n": 0 in leads,
-            "non-unit lead, rank": want is not None and any(v and gcd(v, n) > 1 for v in leads),
+            "rank": want > 0,
+            "zero rows": bool(want_zeros),
+            "lead 0 mod p": 0 in leads,
+            "lead 0 mod p, rank": 0 in leads and want > 0,
         }.items()
-    assert {name for name, hit in outcomes if hit} == {"None", "rank", "zero rows", "lead 0 mod n",
-                                                       "non-unit lead, rank"}
+    assert {name for name, hit in outcomes if hit} == {"rank", "zero rows", "lead 0 mod p", "lead 0 mod p, rank"}
 
 
-def test_non_unit_entry_moves_to_the_next_pair():
-    # 2147483647 is the first prime of pair 1 and a unit modulo pair 2
-    (p, q), (p2, q2), _ = _PRIME_PAIRS
-    assert _rank_mod([((p,), [[0]])], p * q) is None
-    assert _rank_mod([((p,), [[0]])], p2 * q2) == 1
-    ideal = parse_ideal_text(f"ring x=1 y=1\n{p}*x0*y0")
+def test_entry_divisible_by_the_prime_is_ranked_exactly(monkeypatch):
+    # _PRIME*x0*y0 is zero modulo the prime: its row falls to zero there
+    # and the one column has no pivot, so the piece is ranked over Z
+    assert _rank_mod([((_PRIME,), [[0]])], _PRIME) == 0
+    zeros = []
+    assert _rank_exact([((_PRIME,), [[0]])], zeros) == 1 and zeros == []
+    ideal = parse_ideal_text(f"ring x=1 y=1\n{_PRIME}*x0*y0")
+    seen = _record_ranks(monkeypatch)
     assert hilbert_dim(ideal, (1, 1)) == 0
     assert hilbert_dim(ideal, (0, 0)) == 1
+    assert seen == [(1, _PRIME, 0), (1, "exact", 1), (0, _PRIME, 0)]
+    assert ideal.substituted.syzygy_signatures == {}
 
 
 def test_prime_table():
-    # six distinct primes in (2^30, 2^31), by trial division up to sqrt(2^31)
-    assert len(set(PRIMES)) == 6
-    for p in PRIMES:
-        assert 2**30 < p < 2**31
-        assert p % 2 and all(p % d for d in range(3, isqrt(p) + 1, 2)), p
-
-
-def _scripted_ranks(monkeypatch, ranks):
-    """Make _rank_mod return ranks[n] (None for a pair that disagrees) and
-    record the moduli it saw."""
-    seen = []
-
-    def fake(rows, n, zeros):
-        seen.append(n)
-        return ranks[n]
-
-    monkeypatch.setattr(hilbert, "_rank_mod", fake)
-    return seen
-
-
-def test_rank_retries_with_the_next_pair(monkeypatch):
-    (p1, p2), (q1, q2), _ = _PRIME_PAIRS
-    seen = _scripted_ranks(monkeypatch, {p1 * p2: None, q1 * q2: 7})
-    ncols = comb(2 + 3, 3) * comb(1 + 5, 5)  # monomials of bidegree (2, 1) over x=4, y=6
-    assert hilbert_dim(IdealSpec(RING46, ()), (2, 1)) == ncols - 7
-    assert seen == [p1 * p2, q1 * q2]
-
-
-def test_rank_disagreeing_on_every_pair_raises(monkeypatch):
-    seen = _scripted_ranks(monkeypatch, {p * q: None for p, q in _PRIME_PAIRS})
-    with pytest.raises(RankDisagreement, match=r"bidegree \(2, 1\)"):
-        hilbert_dim(IdealSpec(RING46, ()), (2, 1))
-    assert seen == [p * q for p, q in _PRIME_PAIRS]
+    # the one prime, below 2^30 so that a residue is one CPython digit; by
+    # trial division up to sqrt(2^30)
+    assert 2**29 < _PRIME < 2**30
+    assert _PRIME % 2 and all(_PRIME % d for d in range(3, isqrt(_PRIME) + 1, 2))
 
 
 def test_coefficients_beyond_int64(oguiso_ideal):
@@ -692,7 +649,8 @@ def _row_count(groups):
 
 
 def _record_ranks(monkeypatch):
-    """Wrap _rank_mod to record (row count, modulus, rank) of each call."""
+    """Wrap _rank_mod and _rank_exact to record (row count, modulus or
+    "exact", rank) of each call."""
     seen = []
 
     def spy(groups, n, zeros):
@@ -700,7 +658,13 @@ def _record_ranks(monkeypatch):
         seen.append((_row_count(groups), n, rank))
         return rank
 
+    def exact_spy(groups, zeros):
+        rank = _rank_exact(groups, zeros)
+        seen.append((_row_count(groups), "exact", rank))
+        return rank
+
     monkeypatch.setattr(hilbert, "_rank_mod", spy)
+    monkeypatch.setattr(hilbert, "_rank_exact", exact_spy)
     return seen
 
 
@@ -718,16 +682,16 @@ def test_dropped_rows_keep_the_rank(name, ex41_ideal, oguiso_ideal):
     }[name]
     for a, b in product(range(5), repeat=2):
         ncols, rows = _all_rows(ideal.substituted, a, b)
-        assert hilbert_dim(ideal, (a, b)) == ncols - _rank_mod(rows, PRIMES[0]), (a, b)
+        assert hilbert_dim(ideal, (a, b)) == ncols - _rank_mod(rows, _PRIME), (a, b)
 
 
 def test_example41_4x4_ranks_2347_rows(ex41_ideal, monkeypatch):
     # 3475 rows without the criterion, of rank 1906 over 2450 columns; a
-    # fresh ideal, so no syzygy signature learned elsewhere drops a row
+    # fresh ideal, so no syzygy signature learned elsewhere drops a row.
+    # 441 rows fall to zero, so the piece is ranked again over Z
     seen = _record_ranks(monkeypatch)
     assert hilbert_dim(IdealSpec(ex41_ideal.ring, ex41_ideal.generators), (4, 4)) == 544
-    p, q = _PRIME_PAIRS[0]
-    assert seen == [(2347, p * q, 1906)]
+    assert seen == [(2347, _PRIME, 1906), (2347, "exact", 1906)]
 
 
 def _record_rows(monkeypatch):
@@ -911,15 +875,15 @@ def test_hilbert_dim_matches_exact_rank_over_q(seed):
         assert hilbert_dim(ideal, (a, b)) == _dim_over_q(ideal, a, b), (a, b)
 
 
-def test_leading_coefficient_divisible_by_a_prime_moves_to_the_next_pair(monkeypatch):
-    # modulo p the first generator's leading term x0*y0 vanishes, so the row
-    # x0*y0*f_2 that the criterion drops is not in the span of the kept rows
-    # mod p: pair 1 disagrees and pair 2 certifies the rank over Q
-    (p, q), (p2, q2), _ = _PRIME_PAIRS
-    ideal = parse_ideal_text(f"ring x=2 y=1\n{p}*x0*y0 + x1*y0\nx0*y0 + 2*x1*y0")
+def test_leading_coefficient_divisible_by_the_prime_is_ranked_exactly(monkeypatch):
+    # modulo the prime the first generator's leading term x0*y0 vanishes, so
+    # the row x0*y0*f_2 that the criterion drops is not in the span of the
+    # kept rows mod p: a kept row falls to zero there, and the elimination
+    # over Z gives the rank over Q
+    ideal = parse_ideal_text(f"ring x=2 y=1\n{_PRIME}*x0*y0 + x1*y0\nx0*y0 + 2*x1*y0")
     seen = _record_ranks(monkeypatch)
     assert hilbert_dim(ideal, (2, 2)) == 0 == _dim_over_q(ideal, 2, 2)
-    assert seen == [(3, p * q, None), (3, p2 * q2, 3)]
+    assert seen == [(3, _PRIME, 2), (3, "exact", 3)]
 
 
 def _linear_heavy_ideal(rng):
@@ -983,9 +947,10 @@ def test_rank_mod_takes_rows_in_order_and_lists_the_zero_rows():
     # row 2 is row 0 less row 1 and row 3 is twice row 0; taken shortest
     # first, row 0 would reduce to zero instead of row 2
     rows = [((1, 1, 1), [[2, 1, 0]]), ((1,), [[0]]), ((1, 1), [[2, 1]]), ((2, 2, 2), [[2, 1, 0]])]
-    zeros = []
-    assert _rank_mod(rows, PRIMES[0], zeros) == 2
-    assert zeros == [2, 3]
+    for rank in (lambda zeros: _rank_mod(rows, _PRIME, zeros), lambda zeros: _rank_exact(rows, zeros)):
+        zeros = []
+        assert rank(zeros) == 2
+        assert zeros == [2, 3]
 
 
 def test_example41_4x4_after_grid_4_ranks_1906_rows(ex41_ideal, monkeypatch):
@@ -996,8 +961,7 @@ def test_example41_4x4_after_grid_4_ranks_1906_rows(ex41_ideal, monkeypatch):
         hilbert_dim(ideal, bd)
     seen = _record_ranks(monkeypatch)
     assert hilbert_dim(ideal, (4, 4)) == 544
-    p, q = _PRIME_PAIRS[0]
-    assert seen == [(1906, p * q, 1906)]
+    assert seen == [(1906, _PRIME, 1906)]
 
 
 def _mul(m, n):
@@ -1028,8 +992,8 @@ def _divides(s, m):
 
 def _check_signatures(ideal):
     """Each learned signature (j, m) is a syzygy signature: the row m*f_j
-    lies in the span of the rows of smaller signature, mod PRIMES[0].  And
-    no multiplier learned for f_j divides another."""
+    lies in the span over Q of the rows of smaller signature.  And no
+    multiplier learned for f_j divides another."""
     sub = ideal.substituted
     for j, multipliers in sub.syzygy_signatures.items():
         for m in multipliers:
@@ -1037,8 +1001,9 @@ def _check_signatures(ideal):
             (ga, gb), (ma, mb) = sub.generators[j].bidegree, (sum(m[0]), sum(m[1]))
             rows = _signature_rows(sub, ga + ma, gb + mb)
             k = [sig for sig, _ in rows].index((j, m))
-            smaller = [row for _, row in rows[:k]]
-            assert _rank_mod(smaller + [rows[k][1]], PRIMES[0]) == _rank_mod(smaller, PRIMES[0]), (j, m)
+            zeros = []
+            _rank_exact([row for _, row in rows[:k + 1]], zeros)
+            assert zeros[-1:] == [k], (j, m)
 
 
 def _syzygy_ideal(rng):
@@ -1085,7 +1050,7 @@ def test_learned_signatures_keep_every_rank():
         for a, b in grid + grid:
             ncols, rows = _all_rows(ideal.substituted, a, b)
             dim = hilbert_dim(ideal, (a, b))
-            assert dim == ncols - _rank_mod(rows, PRIMES[0]), (seed, a, b)
+            assert dim == ncols - _rank_mod(rows, _PRIME), (seed, a, b)
             if a + b <= 3:
                 assert dim == _dim_over_q(ideal, a, b), (seed, a, b)
         _check_signatures(ideal)
@@ -1110,13 +1075,110 @@ def test_grid_order_learns_the_same_minimal_signatures(name, count, ex41_ideal, 
     assert sum(map(len, outcomes[0].values())) == count
 
 
-def test_zero_rows_of_a_pair_that_stops_are_not_learned():
-    # modulo pair 1 the row of f_0 = p*q*x0*y0 is zero and the leading entry
-    # p of f_1 = p*x0*y0 + x1*y0 stops the run; learning that zero row would
-    # drop every row of f_0.  Pair 2 learns only x0*f_1, the one row in the
-    # span of the rows before it (x0*f_0 and x1*f_0, since both hold y0)
-    (p, q), _, _ = _PRIME_PAIRS
-    ideal = parse_ideal_text(f"ring x=2 y=1\n{p * q}*x0*y0\n{p}*x0*y0 + x1*y0")
+def test_only_rows_zero_over_q_are_learned():
+    # modulo the prime the rows of f_0 = p*x0*y0 are zero; learning them
+    # would drop every row of f_0.  Over Z only x0*f_1 = x0*f_0 + x1*f_0/p
+    # is zero, the one row in the span of the rows before it
+    ideal = parse_ideal_text(f"ring x=2 y=1\n{_PRIME}*x0*y0\n{_PRIME}*x0*y0 + x1*y0")
     for a, b in [(1, 1), (2, 1), (2, 2), (3, 1)]:
         assert hilbert_dim(ideal, (a, b)) == 0 == _dim_over_q(ideal, a, b), (a, b)
     assert ideal.substituted.syzygy_signatures == {1: [((1, 0), (0,))]}
+
+
+@pytest.mark.parametrize(
+    "coefficient, learned",
+    [(2147483647 * 2147483629 + 1, {}), (_PRIME + 1, {1: [((0,), (1, 0))]})],
+    ids=["1+pq", "1+p"],
+)
+def test_generator_congruent_to_another_keeps_its_rows(coefficient, learned):
+    # f_1 = x0*y0 + c*x0*y1 with c = 1 modulo a prime is f_0 there, and is
+    # not a multiple of f_0 over Q; the ideal is x0*(y0, y1).  Learning f_1's
+    # zero row as the syzygy 1*f_1 would drop all of f_1's rows and leave
+    # dimension 1 at each piece.  c = 1 + _PRIME makes f_1's rows zero mod
+    # the prime, so the pieces are ranked over Z, which learns only the true
+    # syzygy (y0 + c*y1)*f_0 - (y0 + y1)*f_1 at (1, 2)
+    ideal = parse_ideal_text(f"ring x=1 y=2\nx0*y0 + x0*y1\nx0*y0 + {coefficient}*x0*y1")
+    for a, b in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        assert hilbert_dim(ideal, (a, b)) == 0 == _dim_over_q(ideal, a, b), (a, b)
+    assert ideal.substituted.syzygy_signatures == learned
+    _check_signatures(ideal)
+
+
+def test_pivots_filling_every_column_learn_nothing(monkeypatch):
+    # modulo the prime the rows of f_0 = p*x0*y1 are zero, yet at (1, 1),
+    # (2, 1) and (1, 2) the pivots of f_1 = x0*y0 and f_2 = x0*y1 fill every
+    # column: the rank over Q is the column count with no elimination over
+    # Z, and the zero rows, which are not zero over Q, are not learned.  At
+    # (2, 2) the criterion keeps f_0's rows and one of f_1's, so that piece
+    # is ranked over Z, where no row is zero
+    ideal = parse_ideal_text(f"ring x=1 y=2\n{_PRIME}*x0*y1\nx0*y0\nx0*y1")
+    seen = _record_ranks(monkeypatch)
+    for a, b in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        assert hilbert_dim(ideal, (a, b)) == 0 == _dim_over_q(ideal, a, b), (a, b)
+    assert seen == [(3, _PRIME, 2), (3, _PRIME, 2), (6, _PRIME, 3), (3, _PRIME, 1), (3, "exact", 3)]
+    assert ideal.substituted.syzygy_signatures == {}
+
+
+def _count_false_zero_rows(monkeypatch):
+    """Wrap _rank_exact to count the pieces it ranks whose zero rows modulo
+    hilbert._PRIME are not all zero over Q."""
+    pieces = []
+
+    def spy(groups, zeros):
+        rank = _rank_exact(groups, zeros)
+        mod_p = []
+        _rank_mod(groups, hilbert._PRIME, mod_p)
+        pieces.append(mod_p != zeros)
+        return rank
+
+    monkeypatch.setattr(hilbert, "_rank_exact", spy)
+    return pieces
+
+
+@pytest.mark.parametrize("prime", [3, 7])
+def test_small_prime_with_false_zero_rows_keeps_every_dimension_exact(prime, monkeypatch):
+    # the ideals of test_hilbert_dim_matches_exact_rank_over_q, ranked with
+    # a prime small enough that rows fall to zero mod p and not over Q: 80
+    # pieces are ranked over Z mod 3 and 25 mod 7
+    monkeypatch.setattr(hilbert, "_PRIME", prime)
+    pieces = _count_false_zero_rows(monkeypatch)
+    for seed in range(40):
+        test_hilbert_dim_matches_exact_rank_over_q(seed)
+    assert sum(pieces) == {3: 77, 7: 22}[prime]
+
+
+def _store(ideal):
+    """The learned signatures of ideal, each generator's sorted."""
+    return {j: sorted(ms) for j, ms in ideal.substituted.syzygy_signatures.items()}
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+@pytest.mark.parametrize("name", ["example41", "oguiso"])
+def test_small_prime_gives_the_same_grid_4_and_signatures(name, prime, ex41_ideal, oguiso_ideal, monkeypatch):
+    # increasing, decreasing and shuffled grid 4 with a small prime give the
+    # dimensions and the signature store of the module's prime
+    base = ex41_ideal if name == "example41" else oguiso_ideal
+    grid = default_sample_grid(4)
+    ideal = IdealSpec(base.ring, base.generators)
+    want = {bd: hilbert_dim(ideal, bd) for bd in grid}, _store(ideal)
+    monkeypatch.setattr(hilbert, "_PRIME", prime)
+    for order in (grid, grid[::-1], random.Random(prime).sample(grid, len(grid))):
+        ideal = IdealSpec(base.ring, base.generators)
+        dims = {bd: hilbert_dim(ideal, bd) for bd in order}
+        assert (dims, _store(ideal)) == want, order
+
+
+def test_second_pass_never_ranks_over_z(ex41_ideal, oguiso_ideal, monkeypatch):
+    # after one shuffled grid-4 pass the learned signatures drop every row
+    # that would fall to zero, so a second pass in another order is proved
+    # by the pivot count alone
+    grid = default_sample_grid(4)
+    rng = random.Random(4)
+    for base in (ex41_ideal, oguiso_ideal):
+        ideal = IdealSpec(base.ring, base.generators)
+        seen = _record_ranks(monkeypatch)
+        dims = {bd: hilbert_dim(ideal, bd) for bd in rng.sample(grid, len(grid))}
+        assert any(modulus == "exact" for _, modulus, _ in seen)
+        monkeypatch.setattr(hilbert, "_rank_exact", lambda *args: pytest.fail("ranked over Z"))
+        for bd in rng.sample(grid, len(grid)):
+            assert hilbert_dim(ideal, bd) == dims[bd], bd
