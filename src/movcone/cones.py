@@ -14,6 +14,7 @@ basis, so a map with t(H2) = 6*H1 - H2 has matrix [[1, 6], [0, -1]].
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import QuadNum, squarefree_decompose
@@ -292,14 +293,14 @@ class SigmaData(_Value):
     """Exact eigen-analysis of the infinite-order isometry.
 
     ray1 is the expanding eigenray (eigenvalue > 1), ray2 the contracting
-    one; both are oriented so that every nef class has non-negative
-    coordinates in the (ray1, ray2) basis.  dual = (w1, w2) is the dual
-    basis, wi . rayj = [i == j], so the eigen-coordinates of D are wi . D.
-    The contracting eigenvalue is eigenvalue.conjugate(), and the radicand
-    of Q(sqrt(d)) is eigenvalue.d.
+    one, both oriented so that every nef class has non-negative coordinates
+    in the (ray1, ray2) basis.  The eigen-coordinates of D are wi . D for the
+    dual basis dual = (w1, w2); int_dual = (n, rows) has the rational and
+    sqrt(d) parts of w1, then w2, as integer pairs over one denominator n.
+    The contracting eigenvalue is eigenvalue.conjugate(), radicand eigenvalue.d.
     """
 
-    __slots__ = ("eigenvalue", "ray1", "ray2", "dual")
+    __slots__ = ("eigenvalue", "ray1", "ray2", "dual", "int_dual")
 
 
 def _same_open_cone(u, su, w, sw) -> bool:
@@ -385,31 +386,46 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     r1, r2 = -r1 if s1 < 0 else r1, -r2 if s2 < 0 else r2
     inv = det2(r1, r2).inverse()
     dual = (DivisorClass(r2.q * inv, -r2.p * inv), DivisorClass(-r1.q * inv, r1.p * inv))
-    return SigmaData(lam, r1, r2, dual)
+    rows = [(u, v) for w in dual for u, v in ((w.p.a, w.q.a), (w.p.b, w.q.b))]
+    n = math.lcm(*(x.denominator for row in rows for x in row))
+    return SigmaData(lam, r1, r2, dual, (n, tuple((int(u * n), int(v * n)) for u, v in rows)))
+
+
+def _eigen_numerators(D: DivisorClass, s: SigmaData):
+    """Integers (A1, B1, A2, B2, n), ai = (Ai + Bi*sqrt(d)) / n, for a rational D; else None."""
+    if pq := _rational_pair(D):
+        m = math.lcm(*(x.denominator for x in pq))  # clears the Fractions
+        P, Q = (int(x * m) for x in pq)
+        return (*(u * P + v * Q for u, v in s.int_dual[1]), s.int_dual[0] * m)
 
 
 def eigen_coords(D: DivisorClass, s: SigmaData) -> tuple[QuadNum, QuadNum]:
     """Coordinates (a1, a2) of D in the eigenray basis, the dot products of
-    the dual basis with D; a rational D takes rational dot products of the
-    rational and sqrt(d) parts of each wi."""
-    pq = _rational_pair(D)
-    if pq is None:
-        return tuple(w.p * D.p + w.q * D.q for w in s.dual)
-    p, q = pq
-    return tuple(QuadNum(w.p.a * p + w.q.a * q, w.p.b * p + w.q.b * q, s.eigenvalue.d) for w in s.dual)
+    the dual basis with D; integer ones for a rational D."""
+    if parts := _eigen_numerators(D, s):
+        A1, B1, A2, B2, n = parts
+        return tuple(QuadNum(Fraction(A, n), Fraction(B, n), s.eigenvalue.d) for A, B in ((A1, B1), (A2, B2)))
+    return tuple(w.p * D.p + w.q * D.q for w in s.dual)
 
 
 def area_coordinate(D: DivisorClass, s: SigmaData) -> QuadNum:
-    """Product a1*a2 of the eigen-coordinates; invariant under sigma."""
+    """Product a1*a2 of the eigen-coordinates; invariant under sigma.  A rational D has
+    a2 = +-conj(a1), as r2 = +-conj(r1) and det2(r1, r2) is purely irrational: a1*a2 is rational."""
+    if parts := _eigen_numerators(D, s):
+        A1, B1, A2, B2, n = parts
+        return QuadNum(Fraction(A1 * A2 + s.eigenvalue.d * B1 * B2, n * n))
     a1, a2 = eigen_coords(D, s)
     return a1 * a2
 
 
 def slope_coordinate(D: DivisorClass, s: SigmaData) -> QuadNum:
-    """Ratio a1/a2 of the eigen-coordinates; scales by eigenvalue^2 under sigma."""
+    """Ratio a1/a2 of the eigen-coordinates, ZeroDivisionError where a2 = 0;
+    scales by eigenvalue^2 under sigma.  A rational D takes a1^2 / (a1*a2)."""
+    if parts := _eigen_numerators(D, s):
+        A1, B1, A2, B2, _ = parts
+        area = A1 * A2 + (d := s.eigenvalue.d) * B1 * B2
+        return QuadNum(Fraction(A1 * A1 + d * B1 * B1, area), Fraction(2 * A1 * B1, area), d)
     a1, a2 = eigen_coords(D, s)
-    if not a2:
-        raise ZeroDivisionError("slope coordinate undefined on the expanding eigenray")
     return a1 / a2
 
 

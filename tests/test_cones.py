@@ -31,7 +31,7 @@ from movcone.chow import CIData, MultiProjAmbient
 from movcone.cones import SIGMA, SIGMA_INV, TAU2, _Value, det2
 from movcone.growth import estimate_exponent, geometric_grid, sweep
 from movcone.models import ModelFile, bundled_model_path, load_model
-from movcone.properties import wall_crossing_sandwich
+from movcone.properties import _sandwiched, wall_crossing_sandwich
 
 D = DivisorClass.from_ints
 
@@ -590,6 +590,78 @@ def test_eigen_coords_match_cone_coords(dyn, request):
     assert eigen_coords(s.ray2, s) == (QuadNum(0), QuadNum(1))
     for cls in _differential_classes(s, random.Random(53)):
         assert eigen_coords(cls, s) == cone_coords(mov, cls), cls
+
+
+def _integer_path_models():
+    """The bundled models, the valid involution normal forms, and the
+    sigma-only models of entries in [-8, 8]: every bundled and normal-form
+    model flips r2 in eigen_sigma, and each sigma-only one with c < 0 flips r1."""
+    yield from (load_model(bundled_model_path(n)).to_cymodel() for n in ("example41", "oguiso", "synthetic-bminus-empty"))
+    for b, c in _NORMAL_FORM:
+        if b > 0 and c > 0:
+            yield CYModel("nf", TriForm(2, 6, 8, 2), C2Form(44, 56), LatticeMap(1, b, 0, -1), LatticeMap(-1, 0, c, 1))
+    for flat in itertools.product(range(-8, 9), repeat=4):
+        if flat[0] * flat[3] - flat[1] * flat[2] == 1 and flat[0] + flat[3] > 2:
+            try:
+                yield _sigma_model(LatticeMap(*flat))
+            except InvalidModel:
+                pass
+
+
+def test_integer_eigen_path_matches_the_quadnum_reference():
+    # the reference is the dot product of s.dual with D in QuadNum
+    # arithmetic; every bundled model takes the whole grid [-30, 30]^2, the
+    # others 40 integer classes each, and all take 40 Fraction classes with
+    # denominators 1 to 9
+    rng = random.Random(61)
+    flips, checked = collections.Counter(), 0
+    for i, m in enumerate(_integer_path_models()):
+        s = eigen_sigma(m)
+        flips[s.ray1.q.a < 0, s.ray2.q.a < 0] += 1
+        if i < 3:
+            classes = [(p, q) for p in range(-30, 31) for q in range(-30, 31)]
+        else:
+            classes = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(40)]
+        classes += [tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in "pq") for _ in range(40)]
+        for pq in classes:
+            cls = DivisorClass(*map(QuadNum, pq))
+            a1, a2 = (w.p * cls.p + w.q * cls.q for w in s.dual)
+            assert eigen_coords(cls, s) == (a1, a2), (m.sigma, pq)
+            area = area_coordinate(cls, s)
+            assert area == a1 * a2 and area.is_rational, (m.sigma, pq)
+            if a2:
+                assert slope_coordinate(cls, s) * a2 == a1, (m.sigma, pq)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    slope_coordinate(cls, s)
+            checked += 1
+    assert flips == {(False, True): 16 + 22, (True, False): 22}, flips
+    assert checked == 3 * (3721 + 40) + 57 * 80
+
+
+def _quadnum_sandwich(val, ref, lam) -> bool:
+    return QuadNum(val).compare(ref * lam.conjugate()) > 0 and QuadNum(val).compare(ref * lam) < 0
+
+
+def test_sandwich_decision_matches_quadnum_compare(ex41, oguiso, synthetic):
+    # 1,000 seeded pairs on four eigenvalues, one with Fraction parts; val
+    # is drawn at random, at x*ref, and one unit either side of the integers
+    # next to ref*lam and ref*conj(lam), where the decision flips
+    rng = random.Random(67)
+    lams = [dyn.sigma.eigenvalue for dyn in (ex41, oguiso, synthetic)] + [QuadNum(Fraction(3, 2), Fraction(1, 2), 5)]
+    outcomes = collections.Counter()
+    for _ in range(1000):
+        lam = rng.choice(lams)
+        ref = Fraction(rng.randint(-50, 500), rng.randint(1, 12))
+        hi, lo = (ref * lam).floor(), -(-ref * lam.conjugate()).floor()
+        val = rng.choice(
+            [Fraction(rng.randint(-9000, 9000), rng.randint(1, 12)), lam.a * ref]
+            + [hi + e for e in (-1, 0, 1, 2)] + [lo + e for e in (-2, -1, 0, 1)]
+        )
+        decided = _sandwiched(Fraction(val), ref, lam)
+        assert decided == _quadnum_sandwich(val, ref, lam), (val, ref, lam)
+        outcomes[decided, ref > 0] += 1
+    assert min(outcomes.values()) > 50 and outcomes[True, False] == 0, outcomes
 
 
 @pytest.mark.parametrize("dyn", ["ex41", "oguiso", "synthetic"])
