@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import QuadNum, squarefree_decompose
+from .exact import QuadNum, RadicandMismatch, squarefree_decompose
 
 SIGMA = "sigma"
 SIGMA_INV = "sigma_inv"
@@ -94,9 +94,6 @@ class DivisorClass(_Value):
     def __neg__(self) -> DivisorClass:
         return DivisorClass(-self.p, -self.q)
 
-    def scale(self, s) -> DivisorClass:
-        return DivisorClass(self.p * s, self.q * s)
-
     def __iter__(self):
         """Unpacks as (p, q), like an integer pair."""
         return iter((self.p, self.q))
@@ -109,17 +106,6 @@ def det2(u, v):
     """Exact 2x2 determinant of (u, v), for classes and integer pairs alike."""
     (up, uq), (vp, vq) = u, v
     return up * vq - uq * vp
-
-
-def _rational_pair(D: DivisorClass):
-    """(p, q) of a rational class as ints or Fractions, None for an irrational one."""
-    p, q = D.p, D.q
-    if p.is_rational and q.is_rational:
-        p, q = p.a, q.a
-        if p.denominator == 1 and q.denominator == 1:
-            return p.numerator, q.numerator
-        return p, q
-    return None
 
 
 def _sign(x) -> int:
@@ -183,10 +169,7 @@ class LatticeMap(_Value):
         return self.a + self.d
 
     def apply(self, D: DivisorClass) -> DivisorClass:
-        pq = _rational_pair(D)
-        if pq is None:
-            return DivisorClass(D.p * self.a + D.q * self.b, D.p * self.c + D.q * self.d)
-        return DivisorClass(*(QuadNum(v) for v in self.apply_pair(pq)))
+        return DivisorClass(*self.apply_pair(D))
 
     def apply_pair(self, u: tuple[int, int]) -> tuple[int, int]:
         p, q = u
@@ -295,12 +278,12 @@ class SigmaData(_Value):
     ray1 is the expanding eigenray (eigenvalue > 1), ray2 the contracting
     one, both oriented so that every nef class has non-negative coordinates
     in the (ray1, ray2) basis.  The eigen-coordinates of D are wi . D for the
-    dual basis dual = (w1, w2); int_dual = (n, rows) has the rational and
-    sqrt(d) parts of w1, then w2, as integer pairs over one denominator n.
-    The contracting eigenvalue is eigenvalue.conjugate(), radicand eigenvalue.d.
+    dual basis (w1, w2); dual = (n, rows) has the rational and sqrt(d) parts
+    of w1, then w2, as integer pairs over one denominator n.  The
+    contracting eigenvalue is eigenvalue.conjugate(), radicand eigenvalue.d.
     """
 
-    __slots__ = ("eigenvalue", "ray1", "ray2", "dual", "int_dual")
+    __slots__ = ("eigenvalue", "ray1", "ray2", "dual")
 
 
 def _same_open_cone(u, su, w, sw) -> bool:
@@ -327,11 +310,10 @@ def validate_model(model: CYModel) -> list[str]:
     """
     issues: list[str] = []
     if model.has_involutions:
-        pairs = (("tau1", model.tau1, model.nef1), ("tau2", model.tau2, model.nef2))
-        for label, t, g in pairs:
+        for label, t, g in (("tau1", model.tau1, (1, 0)), ("tau2", model.tau2, (0, 1))):
             if t.det() != -1:
                 issues.append(f"{label}: determinant must be -1, got {t.det()}")
-            if t.apply(g) != g:
+            if t.apply_pair(g) != g:
                 issues.append(f"{label}: does not fix its nef boundary ray")
     sig, tr = model.sigma, model.sigma.trace()
     if sig.det() != 1:
@@ -370,6 +352,10 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     (the movable cone is then exactly the non-negative span of the two rays).
     Both rays are irrational, so the rational class lies on neither.  The
     model is valid by construction, so sigma has determinant 1 and trace > 2.
+
+    With tr^2 - 4 = k^2*d, e = sigma.d - sigma.a and the flips s1, s2 = +-1,
+    det2(r1, r2) = s1*s2*k*sqrt(d)/sigma.c, so the dual basis is in closed form:
+    w1, w2 = s1*[(0, kd) + (2*sigma.c, e)*sqrt(d)]/(2kd), s2*[(0, kd) - (2*sigma.c, e)*sqrt(d)]/(2kd).
     """
     sig = model.sigma
     tr = sig.trace()
@@ -379,54 +365,52 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     lam = QuadNum(Fraction(tr, 2), Fraction(k, 2), d)
     # (ev - sigma.d) / sigma.c with ev = (tr +- k*sqrt(d)) / 2; c != 0, as
     # c == 0 and det == 1 would force trace +-2
-    p0 = Fraction(tr - 2 * sig.d, 2 * sig.c)
-    r1 = DivisorClass(QuadNum(p0, Fraction(k, 2 * sig.c), d), QuadNum(1))
-    r2 = DivisorClass(QuadNum(p0, Fraction(-k, 2 * sig.c), d), QuadNum(1))
+    c2, e, kd = 2 * sig.c, sig.d - sig.a, k * d
+    r1 = DivisorClass(QuadNum(Fraction(-e, c2), Fraction(k, c2), d), QuadNum(1))
+    r2 = DivisorClass(QuadNum(Fraction(-e, c2), Fraction(-k, c2), d), QuadNum(1))
     s1, s2 = coord_signs(r1, r2, model.nef1 + model.nef2)
     r1, r2 = -r1 if s1 < 0 else r1, -r2 if s2 < 0 else r2
-    inv = det2(r1, r2).inverse()
-    dual = (DivisorClass(r2.q * inv, -r2.p * inv), DivisorClass(-r1.q * inv, r1.p * inv))
-    rows = [(u, v) for w in dual for u, v in ((w.p.a, w.q.a), (w.p.b, w.q.b))]
-    n = math.lcm(*(x.denominator for row in rows for x in row))
-    return SigmaData(lam, r1, r2, dual, (n, tuple((int(u * n), int(v * n)) for u, v in rows)))
+    rows = (0, s1 * kd), (s1 * c2, s1 * e), (0, s2 * kd), (-s2 * c2, -s2 * e)
+    return SigmaData(lam, r1, r2, (2 * kd, rows))
 
 
 def _eigen_numerators(D: DivisorClass, s: SigmaData):
-    """Integers (A1, B1, A2, B2, n), ai = (Ai + Bi*sqrt(d)) / n, for a rational D; else None."""
-    if pq := _rational_pair(D):
-        m = math.lcm(*(x.denominator for x in pq))  # clears the Fractions
-        P, Q = (int(x * m) for x in pq)
-        return (*(u * P + v * Q for u, v in s.int_dual[1]), s.int_dual[0] * m)
+    """Integers (A1, B1, A2, B2, n) with ai = (Ai + Bi*sqrt(d)) / n for a
+    class over Q or Q(sqrt(d)); RadicandMismatch for any other field."""
+    d, (p, q) = s.eigenvalue.d, D
+    if p.b and p.d != d or q.b and q.d != d:
+        raise RadicandMismatch(f"class {D} is not over Q(sqrt({d}))")
+    parts = p.a, p.b, q.a, q.b
+    m = math.lcm(*[x.denominator for x in parts])  # clears the Fractions
+    pa, pb, qa, qb = [x.numerator * (m // x.denominator) for x in parts]
+    # wi = (ui + xi*sqrt(d), vi + yi*sqrt(d)) / n
+    n, ((u1, v1), (x1, y1), (u2, v2), (x2, y2)) = s.dual
+    return (u1 * pa + v1 * qa + d * (x1 * pb + y1 * qb), u1 * pb + v1 * qb + x1 * pa + y1 * qa,
+            u2 * pa + v2 * qa + d * (x2 * pb + y2 * qb), u2 * pb + v2 * qb + x2 * pa + y2 * qa, n * m)
 
 
 def eigen_coords(D: DivisorClass, s: SigmaData) -> tuple[QuadNum, QuadNum]:
     """Coordinates (a1, a2) of D in the eigenray basis, the dot products of
-    the dual basis with D; integer ones for a rational D."""
-    if parts := _eigen_numerators(D, s):
-        A1, B1, A2, B2, n = parts
-        return tuple(QuadNum(Fraction(A, n), Fraction(B, n), s.eigenvalue.d) for A, B in ((A1, B1), (A2, B2)))
-    return tuple(w.p * D.p + w.q * D.q for w in s.dual)
+    the dual basis with D."""
+    A1, B1, A2, B2, n = _eigen_numerators(D, s)
+    return tuple(QuadNum(Fraction(A, n), Fraction(B, n), s.eigenvalue.d) for A, B in ((A1, B1), (A2, B2)))
 
 
 def area_coordinate(D: DivisorClass, s: SigmaData) -> QuadNum:
-    """Product a1*a2 of the eigen-coordinates; invariant under sigma.  A rational D has
-    a2 = +-conj(a1), as r2 = +-conj(r1) and det2(r1, r2) is purely irrational: a1*a2 is rational."""
-    if parts := _eigen_numerators(D, s):
-        A1, B1, A2, B2, n = parts
-        return QuadNum(Fraction(A1 * A2 + s.eigenvalue.d * B1 * B2, n * n))
-    a1, a2 = eigen_coords(D, s)
-    return a1 * a2
+    """Product a1*a2 of the eigen-coordinates; invariant under sigma.  Rational for a
+    rational D: a2 = +-conj(a1), as r2 = +-conj(r1) and det2(r1, r2) is purely irrational."""
+    A1, B1, A2, B2, n = _eigen_numerators(D, s)
+    d = s.eigenvalue.d
+    return QuadNum(Fraction(A1 * A2 + d * B1 * B2, n * n), Fraction(A1 * B2 + A2 * B1, n * n), d)
 
 
 def slope_coordinate(D: DivisorClass, s: SigmaData) -> QuadNum:
-    """Ratio a1/a2 of the eigen-coordinates, ZeroDivisionError where a2 = 0;
-    scales by eigenvalue^2 under sigma.  A rational D takes a1^2 / (a1*a2)."""
-    if parts := _eigen_numerators(D, s):
-        A1, B1, A2, B2, _ = parts
-        area = A1 * A2 + (d := s.eigenvalue.d) * B1 * B2
-        return QuadNum(Fraction(A1 * A1 + d * B1 * B1, area), Fraction(2 * A1 * B1, area), d)
-    a1, a2 = eigen_coords(D, s)
-    return a1 / a2
+    """Ratio a1/a2 of the eigen-coordinates, a1*conj(a2)/N(a2), ZeroDivisionError
+    where a2 = 0; scales by eigenvalue^2 under sigma."""
+    A1, B1, A2, B2, _ = _eigen_numerators(D, s)
+    d = s.eigenvalue.d
+    norm = A2 * A2 - d * B2 * B2
+    return QuadNum(Fraction(A1 * A2 - d * B1 * B2, norm), Fraction(A2 * B1 - A1 * B2, norm), d)
 
 
 def in_open_movable(D: DivisorClass, s: SigmaData) -> bool:

@@ -20,31 +20,36 @@ from .exact import QuadNum
 from .riemann_roch import h0_movable
 
 
-def _movable(dyn: Dynamics, rng: Random) -> DivisorClass:
+def _cls(pair) -> DivisorClass:
+    """The class of an integer or Fraction pair."""
+    return DivisorClass(*map(QuadNum, pair))
+
+
+def _movable(dyn: Dynamics, rng: Random) -> tuple[int, int]:
     """sigma^k (p, q) for k in [-4, 4], p, q in [1, 80]; tau2-mirrored half
     the time when the model has involutions."""
     model = dyn.model
-    base = DivisorClass.from_ints(rng.randint(1, 80), rng.randint(1, 80))
-    D = model.sigma.pow(rng.randint(-4, 4)).apply(base)
-    return model.tau2.apply(D) if model.has_involutions and rng.random() < 0.5 else D
+    base = rng.randint(1, 80), rng.randint(1, 80)
+    v = model.sigma.pow(rng.randint(-4, 4)).apply_pair(base)
+    return model.tau2.apply_pair(v) if model.has_involutions and rng.random() < 0.5 else v
 
 
 def area_invariance(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """The area a1*a2 is sigma-invariant."""
     for _ in range(count):
-        D = _movable(dyn, rng)
-        if area_coordinate(dyn.model.sigma.apply(D), dyn.sigma) != area_coordinate(D, dyn.sigma):
-            return f"area changed under sigma for {D}"
+        v = _movable(dyn, rng)
+        if area_coordinate(_cls(dyn.model.sigma.apply_pair(v)), dyn.sigma) != area_coordinate(_cls(v), dyn.sigma):
+            return f"area changed under sigma for {_cls(v)}"
     return None
 
 
 def slope_scaling(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """sigma scales the slope a1/a2 by lambda^2."""
-    s, lam2 = dyn.sigma, dyn.sigma.eigenvalue**2
+    s, sig, lam2 = dyn.sigma, dyn.model.sigma, dyn.sigma.eigenvalue**2
     for _ in range(count):
-        D = _movable(dyn, rng)
-        if slope_coordinate(dyn.model.sigma.apply(D), s) != lam2 * slope_coordinate(D, s):
-            return f"slope scaling violated for {D}"
+        v = _movable(dyn, rng)
+        if slope_coordinate(_cls(sig.apply_pair(v)), s) != lam2 * slope_coordinate(_cls(v), s):
+            return f"slope scaling violated for {_cls(v)}"
     return None
 
 
@@ -60,10 +65,10 @@ def wall_crossing_sandwich(dyn: Dynamics, rng: Random, count: int) -> str | None
     for _ in range(count):
         d1 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
         d2 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
-        D = DivisorClass(QuadNum(d1 * p1 + d2 * p2), QuadNum(d1 * q1 + d2 * q2))
-        val, ref = area_coordinate(dyn.model.tau2.apply(D), s), area_coordinate(D, s)
+        v = d1 * p1 + d2 * p2, d1 * q1 + d2 * q2
+        val, ref = area_coordinate(_cls(dyn.model.tau2.apply_pair(v)), s), area_coordinate(_cls(v), s)
         if not _sandwiched(val.a, ref.a, s.eigenvalue):
-            return f"wall-crossing area sandwich violated for {D}"
+            return f"wall-crossing area sandwich violated for {_cls(v)}"
     return None
 
 
@@ -76,11 +81,11 @@ def section_count_word_invariance(dyn: Dynamics, rng: Random, count: int) -> str
     if model.has_involutions:
         letters += [model.tau1, model.tau2]
     for _ in range(count):
-        D = moved = _movable(dyn, rng)
+        v = moved = _movable(dyn, rng)
         for _ in range(rng.randint(1, 6)):
-            moved = rng.choice(letters).apply(moved)
-        if h0_movable(model, s, pi, moved)[0] != h0_movable(model, s, pi, D)[0]:
-            return f"section count changed along a word for {D}"
+            moved = rng.choice(letters).apply_pair(moved)
+        if h0_movable(model, s, pi, _cls(moved))[0] != h0_movable(model, s, pi, _cls(v))[0]:
+            return f"section count changed along a word for {_cls(v)}"
     return None
 
 

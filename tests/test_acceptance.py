@@ -224,7 +224,7 @@ def test_criterion_6_empirical_bands(ex41):
     ratios = [r.h0 / float(r.l1) ** 1.5 for r in recs]
     band_ok = min(ratios) > 0 and max(ratios) / min(ratios) <= 1000
 
-    samples = [(s.ray1.scale(m), A55) for m in (10, 100, 1000, 10000)]
+    samples = [(DivisorClass(s.ray1.p * m, s.ray1.q * m), A55) for m in (10, 100, 1000, 10000)]
     samples += [
         (DivisorClass(QuadNum(Fraction(rng.randint(-500, 2000), 7)),
                       QuadNum(Fraction(rng.randint(50, 4000), 3))), A55)

@@ -15,6 +15,7 @@ from movcone import (
     InvalidModel,
     LatticeMap,
     QuadNum,
+    RadicandMismatch,
     TriForm,
     area_coordinate,
     cone_contains,
@@ -552,7 +553,6 @@ def test_divisor_class_api():
     with pytest.raises(ValueError):
         irr.integer_coords()
     assert (c + D(1, 1)) == D(4, -1)
-    assert c.scale(2) == D(6, -4)
     assert -c == D(-3, 2)
     with pytest.raises(AttributeError):
         c.p = QuadNum(1)
@@ -567,19 +567,23 @@ def test_cone_coords_reconstruct(ex41):
     for _ in range(200):
         cls = D(rng.randint(-20, 20), rng.randint(-20, 20))
         a1, a2 = cone_coords(mov, cls)
-        rebuilt = mov.ray1.scale(a1) + mov.ray2.scale(a2)
+        rebuilt = DivisorClass(mov.ray1.p * a1, mov.ray1.q * a1) + DivisorClass(mov.ray2.p * a2, mov.ray2.q * a2)
         assert rebuilt == cls
 
 
 def _differential_classes(s, rng):
     """Integral classes, Fraction-scaled ones, a Fraction p with an integral
     q, and the irrational m*r1 + A and Fraction*r2 + r1."""
+    r1, r2 = s.ray1, s.ray2
     for _ in range(100):
         yield D(rng.randint(-80, 80), rng.randint(-80, 80))
-        yield D(rng.randint(-80, 80), rng.randint(-80, 80)).scale(Fraction(rng.randint(-99, 99), rng.randint(1, 9)))
+        c, f = D(rng.randint(-80, 80), rng.randint(-80, 80)), Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+        yield DivisorClass(c.p * f, c.q * f)
         yield DivisorClass(QuadNum(Fraction(rng.randint(-99, 99), rng.randint(1, 9))), QuadNum(rng.randint(-9, 9)))
-        yield s.ray1.scale(rng.randint(1, 1 << 40)) + D(rng.randint(-9, 9), rng.randint(-9, 9))
-        yield s.ray2.scale(Fraction(rng.randint(1, 99), rng.randint(1, 9))) + s.ray1
+        m = rng.randint(1, 1 << 40)
+        yield DivisorClass(r1.p * m, r1.q * m) + D(rng.randint(-9, 9), rng.randint(-9, 9))
+        f = Fraction(rng.randint(1, 99), rng.randint(1, 9))
+        yield DivisorClass(r2.p * f, r2.q * f) + r1
 
 
 @pytest.mark.parametrize("dyn", ["ex41", "oguiso", "synthetic"])
@@ -608,35 +612,72 @@ def _integer_path_models():
                 pass
 
 
+def _quadnum_dual(s):
+    """The dual basis of (s.ray1, s.ray2), in QuadNum arithmetic."""
+    r1, r2 = s.ray1, s.ray2
+    inv = det2(r1, r2).inverse()
+    return DivisorClass(r2.q * inv, -r2.p * inv), DivisorClass(-r1.q * inv, r1.p * inv)
+
+
+def _irrational_classes(s, rng, count):
+    """m*r1 + A for an ample integral A, a Fraction multiple of r2 plus r1,
+    and p, q with independent sqrt(d) parts."""
+    r1, r2, d = s.ray1, s.ray2, s.eigenvalue.d
+    for _ in range(count):
+        m = rng.randint(1, 1 << 40)
+        yield DivisorClass(r1.p * m, r1.q * m) + D(rng.randint(1, 9), rng.randint(1, 9))
+        f = Fraction(rng.randint(1, 99), rng.randint(1, 9))
+        yield DivisorClass(r2.p * f, r2.q * f) + r1
+        parts = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(4)]
+        yield DivisorClass(QuadNum(*parts[:2], d), QuadNum(*parts[2:], d))
+
+
 def test_integer_eigen_path_matches_the_quadnum_reference():
-    # the reference is the dot product of s.dual with D in QuadNum
-    # arithmetic; every bundled model takes the whole grid [-30, 30]^2, the
-    # others 40 integer classes each, and all take 40 Fraction classes with
-    # denominators 1 to 9
+    # the reference is the dot product with D of the dual basis of
+    # (ray1, ray2) in QuadNum arithmetic; every bundled model takes the
+    # whole grid [-30, 30]^2, the others 40 integer classes each, and all
+    # take 40 Fraction classes with denominators 1 to 9 and 30 irrational ones
     rng = random.Random(61)
-    flips, checked = collections.Counter(), 0
+    flips, checked, irrational_areas = collections.Counter(), 0, 0
     for i, m in enumerate(_integer_path_models()):
         s = eigen_sigma(m)
+        dual = _quadnum_dual(s)
         flips[s.ray1.q.a < 0, s.ray2.q.a < 0] += 1
         if i < 3:
-            classes = [(p, q) for p in range(-30, 31) for q in range(-30, 31)]
+            pairs = [(p, q) for p in range(-30, 31) for q in range(-30, 31)]
         else:
-            classes = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(40)]
-        classes += [tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in "pq") for _ in range(40)]
-        for pq in classes:
-            cls = DivisorClass(*map(QuadNum, pq))
-            a1, a2 = (w.p * cls.p + w.q * cls.q for w in s.dual)
-            assert eigen_coords(cls, s) == (a1, a2), (m.sigma, pq)
+            pairs = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(40)]
+        pairs += [tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in "pq") for _ in range(40)]
+        classes = [DivisorClass(*map(QuadNum, pq)) for pq in pairs]
+        for cls in classes + list(_irrational_classes(s, rng, 10)):
+            a1, a2 = (w.p * cls.p + w.q * cls.q for w in dual)
+            assert eigen_coords(cls, s) == (a1, a2), (m.sigma, cls)
             area = area_coordinate(cls, s)
-            assert area == a1 * a2 and area.is_rational, (m.sigma, pq)
+            ref = a1 * a2
+            assert (area.a, area.b) == (ref.a, ref.b), (m.sigma, cls)
+            if cls.p.is_rational and cls.q.is_rational:
+                assert area.is_rational, (m.sigma, cls)
+            irrational_areas += not area.is_rational
             if a2:
-                assert slope_coordinate(cls, s) * a2 == a1, (m.sigma, pq)
+                assert slope_coordinate(cls, s) * a2 == a1, (m.sigma, cls)
             else:
                 with pytest.raises(ZeroDivisionError):
                     slope_coordinate(cls, s)
             checked += 1
     assert flips == {(False, True): 16 + 22, (True, False): 22}, flips
-    assert checked == 3 * (3721 + 40) + 57 * 80
+    assert checked == 3 * (3721 + 40) + 57 * 80 + 60 * 30
+    # a Fraction multiple f of r2 plus r1 has the rational area f; the other
+    # two irrational kinds have a nonzero sqrt(d) part
+    assert irrational_areas == 60 * 20, irrational_areas
+
+
+def test_eigen_coordinates_reject_another_radicand(ex41):
+    s = ex41.sigma
+    assert s.eigenvalue.d == 33
+    for cls in (DivisorClass(QuadNum(0, 1, 5), QuadNum(1)), DivisorClass(QuadNum(1), QuadNum(2, 3, 5))):
+        for coordinate in (eigen_coords, area_coordinate, slope_coordinate):
+            with pytest.raises(RadicandMismatch):
+                coordinate(cls, s)
 
 
 def _quadnum_sandwich(val, ref, lam) -> bool:

@@ -75,7 +75,7 @@ def test_sweep_l1_is_area_of_real_class(dyn, ray, request):
     mov = movable_cone(s)
     recs = sweep(dyn.model, s, dyn.pi, A55, geometric_grid(), ray=ray)
     for r in recs:
-        a1, a2 = cone_coords(mov, direction.scale(r.m) + A55)
+        a1, a2 = cone_coords(mov, DivisorClass(direction.p * r.m, direction.q * r.m) + A55)
         assert r.l1 == a1 * a2, r.m
 
 
@@ -197,7 +197,8 @@ def test_rounddown_integral_is_exact(ex41):
 
 
 def test_rounddown_boundary_multiples(ex41):
-    samples = [(ex41.sigma.ray1.scale(m), A55) for m in (10, 100, 1000)]
+    r1 = ex41.sigma.ray1
+    samples = [(DivisorClass(r1.p * m, r1.q * m), A55) for m in (10, 100, 1000)]
     rep = rounddown_check(ex41.sigma, samples)
     assert rep.ratio_min > 0
     assert rep.ratio_max / rep.ratio_min <= 1000
@@ -214,7 +215,7 @@ def test_rounddown_random_band(ex41):
     samples = []
     for _ in range(300):
         m = rng.randint(1, 5000)
-        samples.append((ex41.sigma.ray1.scale(m), A55))
+        samples.append((DivisorClass(ex41.sigma.ray1.p * m, ex41.sigma.ray1.q * m), A55))
         samples.append(
             (DivisorClass(QuadNum(Fraction(rng.randint(-900, 900), 7)),
                           QuadNum(Fraction(rng.randint(100, 9000), 11))), A55)
