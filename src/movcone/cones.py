@@ -374,15 +374,18 @@ def eigen_sigma(model: CYModel) -> SigmaData:
     return SigmaData(lam, r1, r2, (2 * kd, rows))
 
 
-def _eigen_numerators(D: DivisorClass, s: SigmaData):
-    """Integers (A1, B1, A2, B2, n) with ai = (Ai + Bi*sqrt(d)) / n for a
-    class over Q or Q(sqrt(d)); RadicandMismatch for any other field."""
+def _eigen_numerators(D: DivisorClass | tuple[int, int], s: SigmaData):
+    """Integers (A1, B1, A2, B2, n) with ai = (Ai + Bi*sqrt(d)) / n for an integer
+    pair (n is the dual basis' own) or a class over Q or Q(sqrt(d)); RadicandMismatch for any other field."""
     d, (p, q) = s.eigenvalue.d, D
-    if p.b and p.d != d or q.b and q.d != d:
-        raise RadicandMismatch(f"class {D} is not over Q(sqrt({d}))")
-    parts = p.a, p.b, q.a, q.b
-    m = math.lcm(*[x.denominator for x in parts])  # clears the Fractions
-    pa, pb, qa, qb = [x.numerator * (m // x.denominator) for x in parts]
+    if isinstance(p, int):
+        pa, pb, qa, qb, m = p, 0, q, 0, 1
+    else:
+        if p.b and p.d != d or q.b and q.d != d:
+            raise RadicandMismatch(f"class {D} is not over Q(sqrt({d}))")
+        parts = p.a, p.b, q.a, q.b
+        m = math.lcm(*[x.denominator for x in parts])  # clears the Fractions
+        pa, pb, qa, qb = [x.numerator * (m // x.denominator) for x in parts]
     # wi = (ui + xi*sqrt(d), vi + yi*sqrt(d)) / n
     n, ((u1, v1), (x1, y1), (u2, v2), (x2, y2)) = s.dual
     return (u1 * pa + v1 * qa + d * (x1 * pb + y1 * qb), u1 * pb + v1 * qb + x1 * pa + y1 * qa,

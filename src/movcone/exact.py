@@ -50,6 +50,18 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return (k * r, d) if r * r == m else (k, d * m)
 
 
+def quad_sign(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integer or Fraction a, b: -1, 0 or +1."""
+    sa = (a > 0) - (a < 0)
+    if not b:
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa != -sb:  # a is 0 or has the sign of b
+        return sb
+    s = a * a - b * b * d  # opposite signs: |a| against |b|*sqrt(d)
+    return sa if s > 0 else -sa if s < 0 else 0
+
+
 @total_ordering
 class QuadNum:
     """Element a + b*sqrt(d) of Q(sqrt(d)), immutable and hashable.
@@ -169,18 +181,7 @@ class QuadNum:
         if o is None:
             raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
         z = self - o
-        a, b = z._a, z._b
-        if not b:
-            return (a > 0) - (a < 0)
-        if not a:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        s = a * a - b * b * z._d
-        sign_s = (s > 0) - (s < 0)
-        return sign_s if a > 0 else -sign_s
+        return quad_sign(z._a, z._b, z._d)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -8,15 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .cones import (
-    DivisorClass,
-    Dynamics,
-    _same_open_cone,
-    area_coordinate,
-    eigen_coords,
-    slope_coordinate,
-)
-from .exact import QuadNum
+from .cones import DivisorClass, Dynamics, _eigen_numerators, _same_open_cone
+from .exact import QuadNum, quad_sign
 from .riemann_roch import h0_movable
 
 
@@ -25,50 +18,75 @@ def _cls(pair) -> DivisorClass:
     return DivisorClass(*map(QuadNum, pair))
 
 
-def _movable(dyn: Dynamics, rng: Random) -> tuple[int, int]:
-    """sigma^k (p, q) for k in [-4, 4], p, q in [1, 80]; tau2-mirrored half
-    the time when the model has involutions."""
-    model = dyn.model
-    base = rng.randint(1, 80), rng.randint(1, 80)
-    v = model.sigma.pow(rng.randint(-4, 4)).apply_pair(base)
-    return model.tau2.apply_pair(v) if model.has_involutions and rng.random() < 0.5 else v
+def _mul(x, y, d: int) -> tuple[int, int]:
+    """(a + b*sqrt(d)) * (c + e*sqrt(d)) for integer pairs x = (a, b), y = (c, e)."""
+    (a, b), (c, e) = x, y
+    return a * c + d * b * e, a * e + b * c
+
+
+def _area(v, s) -> tuple[int, int]:
+    """n^2 * a1*a2 of the integer pair v as an integer pair; n is the same for all v."""
+    A1, B1, A2, B2, _ = _eigen_numerators(v, s)
+    return _mul((A1, B1), (A2, B2), s.eigenvalue.d)
+
+
+def _slope_scaled(v, w, s, lam4: QuadNum) -> bool:
+    """slope(w) = lambda^2 * slope(v) for integer pairs with a2 != 0, as
+    4*a1(w)*a2(v) = lam4*a1(v)*a2(w) for lam4 = 4*lambda^2, an algebraic integer."""
+    (A1, B1, A2, B2, _), (C1, D1, C2, D2, _), d = _eigen_numerators(v, s), _eigen_numerators(w, s), s.eigenvalue.d
+    return _mul((4 * C1, 4 * D1), (A2, B2), d) == _mul(_mul((int(lam4.a), int(lam4.b)), (A1, B1), d), (C2, D2), d)
+
+
+def _bracketed(x: QuadNum, f: int) -> bool:
+    """f <= x < f + 1 for x = a + b*sqrt(d): r*(x - f) = P + Q*sqrt(d) for r = den(a)*den(b)."""
+    a, b, r = x.a, x.b, x.a.denominator * x.b.denominator
+    P, Q = a.numerator * b.denominator - f * r, b.numerator * a.denominator
+    return quad_sign(P, Q, x.d) >= 0 and quad_sign(P - r, Q, x.d) < 0
+
+
+def _movable(dyn: Dynamics, rng: Random, count: int):
+    """count classes sigma^k (p, q) for k in [-4, 4] (one table of powers), p, q
+    in [1, 80]; tau2-mirrored half the time when the model has involutions."""
+    model, powers = dyn.model, {k: dyn.model.sigma.pow(k) for k in range(-4, 5)}
+    for _ in range(count):
+        base = rng.randint(1, 80), rng.randint(1, 80)
+        v = powers[rng.randint(-4, 4)].apply_pair(base)
+        yield model.tau2.apply_pair(v) if model.has_involutions and rng.random() < 0.5 else v
 
 
 def area_invariance(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """The area a1*a2 is sigma-invariant."""
-    for _ in range(count):
-        v = _movable(dyn, rng)
-        if area_coordinate(_cls(dyn.model.sigma.apply_pair(v)), dyn.sigma) != area_coordinate(_cls(v), dyn.sigma):
+    for v in _movable(dyn, rng, count):
+        if _area(dyn.model.sigma.apply_pair(v), dyn.sigma) != _area(v, dyn.sigma):
             return f"area changed under sigma for {_cls(v)}"
     return None
 
 
 def slope_scaling(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """sigma scales the slope a1/a2 by lambda^2."""
-    s, sig, lam2 = dyn.sigma, dyn.model.sigma, dyn.sigma.eigenvalue**2
-    for _ in range(count):
-        v = _movable(dyn, rng)
-        if slope_coordinate(_cls(sig.apply_pair(v)), s) != lam2 * slope_coordinate(_cls(v), s):
+    lam4 = 4 * dyn.sigma.eigenvalue**2
+    for v in _movable(dyn, rng, count):
+        if not _slope_scaled(v, dyn.model.sigma.apply_pair(v), dyn.sigma, lam4):
             return f"slope scaling violated for {_cls(v)}"
     return None
 
 
-def _sandwiched(val: Fraction, ref: Fraction, lam: QuadNum) -> bool:
+def _sandwiched(val: int | Fraction, ref: int | Fraction, lam: QuadNum) -> bool:
     """ref*conj(lam) < val < ref*lam for lam = x + y*sqrt(d), y > 0: ref > 0, |val - x*ref| < y*sqrt(d)*ref."""
     return ref > 0 and (val - lam.a * ref) ** 2 < lam.b * lam.b * lam.d * ref * ref
 
 
 def wall_crossing_sandwich(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """tau2 moves the area of a rational class of the domain by less than a
-    factor lambda either way.  Needs the involutions."""
-    s, (p1, q1), (p2, q2) = dyn.sigma, dyn.pi.ray1.integer_coords(), dyn.pi.ray2.integer_coords()
+    factor lambda either way; needs the involutions.  Homogeneous, so decided on
+    the integer pair m1*m2*v for v = (n1/m1)*ray1 + (n2/m2)*ray2."""
+    s, tau2, (p1, q1), (p2, q2) = dyn.sigma, dyn.model.tau2, dyn.pi.ray1.integer_coords(), dyn.pi.ray2.integer_coords()
     for _ in range(count):
-        d1 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
-        d2 = Fraction(rng.randint(1, 99), rng.randint(1, 9))
-        v = d1 * p1 + d2 * p2, d1 * q1 + d2 * q2
-        val, ref = area_coordinate(_cls(dyn.model.tau2.apply_pair(v)), s), area_coordinate(_cls(v), s)
-        if not _sandwiched(val.a, ref.a, s.eigenvalue):
-            return f"wall-crossing area sandwich violated for {_cls(v)}"
+        n1, m1 = rng.randint(1, 99), rng.randint(1, 9)
+        n2, m2 = rng.randint(1, 99), rng.randint(1, 9)
+        w = n1 * m2 * p1 + n2 * m1 * p2, n1 * m2 * q1 + n2 * m1 * q2
+        if not _sandwiched(_area(tau2.apply_pair(w), s)[0], _area(w, s)[0], s.eigenvalue):
+            return f"wall-crossing area sandwich violated for {_cls(Fraction(x, m1 * m2) for x in w)}"
     return None
 
 
@@ -80,8 +98,8 @@ def section_count_word_invariance(dyn: Dynamics, rng: Random, count: int) -> str
     letters = [model.sigma, model.sigma.inverse()]
     if model.has_involutions:
         letters += [model.tau1, model.tau2]
-    for _ in range(count):
-        v = moved = _movable(dyn, rng)
+    for v in _movable(dyn, rng, count):
+        moved = v
         for _ in range(rng.randint(1, 6)):
             moved = rng.choice(letters).apply_pair(moved)
         if h0_movable(model, s, pi, _cls(moved))[0] != h0_movable(model, s, pi, _cls(v))[0]:
@@ -107,8 +125,7 @@ def floor_bracketing(dyn: Dynamics, rng: Random, count: int) -> str | None:
         a = Fraction(rng.randint(-9000, 9000), rng.randint(1, 50))
         b = Fraction(rng.randint(-900, 900), rng.randint(1, 50))
         x = QuadNum(a, b, rng.choice(radicands))
-        f = x.floor()
-        if not (x.compare(f) >= 0 and x.compare(f + 1) < 0):
+        if not _bracketed(x, x.floor()):
             return f"floor bracketing violated for {x}"
     return None
 
@@ -118,13 +135,12 @@ def cone_membership(dyn: Dynamics, rng: Random, count: int) -> str | None:
     with the signs of the eigen-coordinates.  The eigenrays are irrational, so
     an integral class lies in the closed cone exactly when it is 0 or lies in
     the open cone that holds u = (1, 1)."""
-    sig = dyn.model.sigma
-    u = (1, 1)
-    su = sig.apply_pair(u)
+    sig, s, d = dyn.model.sigma, dyn.sigma, dyn.sigma.eigenvalue.d
+    u, su = (1, 1), sig.apply_pair((1, 1))
     for _ in range(count):
         w = rng.randint(-40, 40), rng.randint(-40, 40)
         inside = w == (0, 0) or _same_open_cone(u, su, w, sig.apply_pair(w))
-        D = DivisorClass.from_ints(*w)
-        if inside != (min(eigen_coords(D, dyn.sigma)) >= 0):
-            return f"cone membership inconsistent for {D}"
+        A1, B1, A2, B2, _ = _eigen_numerators(w, s)  # over n > 0
+        if inside != (min(quad_sign(A1, B1, d), quad_sign(A2, B2, d)) >= 0):
+            return f"cone membership inconsistent for {_cls(w)}"
     return None

@@ -127,7 +127,8 @@ def test_verify_broken_chi_integrality(tmp_path):
 
 
 def test_verify_reports_failing_property_suite(monkeypatch):
-    monkeypatch.setattr(properties, "area_coordinate", lambda D, s: D.p)
+    # the area of (p, q) becomes p, which sigma does not keep
+    monkeypatch.setattr(properties, "_area", lambda v, s: (v[0], 0))
     result = invoke("verify", str(bundled_model_path("example41")), "--samples", "10")
     assert result.exit_code == 2
     assert "FAIL area-invariance: area changed under sigma for" in result.output
