@@ -275,12 +275,9 @@ def derive(model_file: str, grid: int, out: str | None, force: bool):
             EXIT_VALIDATION,
             f"derived values {derived} conflict with stored {stored}; use --force to overwrite",
         )
-    mf.triform = tri.as_tuple()
-    mf.c2form = c2.as_tuple()
-    prov = dict(mf.provenance or {})
-    prov["triform"] = tag
-    prov["c2form"] = tag
-    mf.provenance = prov
+    prov = dict(mf.provenance or {}, triform=tag, c2form=tag)
+    fields = dict(zip(mf._fields, mf.as_tuple()), triform=derived[0], c2form=derived[1], provenance=prov)
+    mf = models.ModelFile(*fields.values())
     target = Path(out) if out else mf.path
     try:
         models.save_model(mf, target)

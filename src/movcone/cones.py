@@ -217,6 +217,10 @@ def cone_contains(cone: Cone2, D: DivisorClass) -> bool:
     return min(coord_signs(cone.ray1, cone.ray2, D)) >= 0
 
 
+class NotMovable(ValueError):
+    """An integral class outside the open movable cone, which reduce_to_domain refuses."""
+
+
 class InvalidModel(ValueError):
     """Model data that violate an invariant; args holds one message per issue."""
 
@@ -475,7 +479,7 @@ def reduce_to_domain(
     if not D.is_integral:
         raise ValueError("only integral classes are reduced")
     if not in_open_movable(D, s):
-        raise ValueError(f"{D} is not in the open movable cone; reduction undefined")
+        raise NotMovable(f"{D} is not in the open movable cone; reduction undefined")
 
     sig = model.sigma
     v, sv = D.integer_coords(), sig.apply_pair(D.integer_coords())

@@ -11,10 +11,10 @@ from .cones import (
     Cone2,
     CYModel,
     DivisorClass,
+    NotMovable,
     SigmaData,
     _Value,
     eigen_coords,
-    in_open_movable,
 )
 from .exact import QuadNum
 from .riemann_roch import h0_movable
@@ -27,8 +27,8 @@ class SweepRecord(_Value):
     """One row of the growth experiment.
 
     l1 is the invariant area of the exact (un-floored) class m*ray + A.
-    Records with the floored class outside the open movable cone carry
-    skipped=True and a zero section count.
+    Records whose floored class the reduction refuses with NotMovable (it is
+    outside the open movable cone) carry skipped=True and a zero section count.
     """
 
     __slots__ = ("m", "floored", "h0", "l1", "word_length", "skipped")
@@ -85,9 +85,9 @@ def sweep(
 ) -> list[SweepRecord]:
     """One record per m along the chosen direction; skipped rows are kept.
 
-    The eigen-coordinates are linear, so those of m*direction + ample are
-    m*alpha + beta with alpha, beta taken once per sweep, and l1 costs one
-    product per row."""
+    A row is skipped exactly when the reduction raises NotMovable.  The
+    eigen-coordinates of m*direction + ample are m*alpha + beta, alpha and
+    beta taken once per sweep, so l1 costs one product per row."""
     _check_ample(ample)
     ms = list(ms)
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
@@ -98,10 +98,10 @@ def sweep(
     for m in ms:
         floored = floor_class(m, direction, ample)
         l1 = (al1 * m + be1) * (al2 * m + be2)
-        if in_open_movable(floored, s):
+        try:
             h0, word = h0_movable(model, s, pi, floored)
             records.append(SweepRecord(m, floored, h0, l1, len(word), False))
-        else:
+        except NotMovable:
             records.append(SweepRecord(m, floored, 0, l1, 0, True))
     return records
 

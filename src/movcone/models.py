@@ -28,13 +28,11 @@ class ModelParseError(ValueError):
 
 
 class ModelFile(_Value):
-    """The fields of a model file, assignable, in the order the file writes
-    its keys after "convention"; path, where it was read from, is no key and
-    takes no part in equality."""
+    """The fields of a model file, in the order the file writes its keys
+    after "convention"; path, where it was read from, is no key and takes no
+    part in equality."""
 
     __slots__ = ("name", "tau1", "tau2", "sigma", "triform", "c2form", "ci", "ideal_files", "provenance", "path")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def _key(self) -> tuple:

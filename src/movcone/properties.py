@@ -30,11 +30,15 @@ def _area(v, s) -> tuple[int, int]:
     return _mul((A1, B1), (A2, B2), s.eigenvalue.d)
 
 
-def _slope_scaled(v, w, s, lam4: QuadNum) -> bool:
-    """slope(w) = lambda^2 * slope(v) for integer pairs with a2 != 0, as
-    4*a1(w)*a2(v) = lam4*a1(v)*a2(w) for lam4 = 4*lambda^2, an algebraic integer."""
+def _lam_ints(lam: QuadNum) -> tuple[int, int, int]:
+    """(tr, k, d) with lam = (tr + k*sqrt(d))/2: the eigenvalue is an algebraic integer."""
+    return int(2 * lam.a), int(2 * lam.b), lam.d
+
+
+def _slope_scaled(v, w, s, lam4: tuple[int, int]) -> bool:
+    """slope(w) = lambda^2 * slope(v) for integer pairs with a2 != 0: 4*a1(w)*a2(v) = lam4*a1(v)*a2(w), lam4 = 4*lambda^2."""
     (A1, B1, A2, B2, _), (C1, D1, C2, D2, _), d = _eigen_numerators(v, s), _eigen_numerators(w, s), s.eigenvalue.d
-    return _mul((4 * C1, 4 * D1), (A2, B2), d) == _mul(_mul((int(lam4.a), int(lam4.b)), (A1, B1), d), (C2, D2), d)
+    return _mul((4 * C1, 4 * D1), (A2, B2), d) == _mul(_mul(lam4, (A1, B1), d), (C2, D2), d)
 
 
 def _bracketed(x: QuadNum, f: int) -> bool:
@@ -64,16 +68,17 @@ def area_invariance(dyn: Dynamics, rng: Random, count: int) -> str | None:
 
 def slope_scaling(dyn: Dynamics, rng: Random, count: int) -> str | None:
     """sigma scales the slope a1/a2 by lambda^2."""
-    lam4 = 4 * dyn.sigma.eigenvalue**2
+    tr, k, d = _lam_ints(dyn.sigma.eigenvalue)
+    lam4 = tr * tr + k * k * d, 2 * tr * k  # 4*lambda^2 = (tr + k*sqrt(d))^2
     for v in _movable(dyn, rng, count):
         if not _slope_scaled(v, dyn.model.sigma.apply_pair(v), dyn.sigma, lam4):
             return f"slope scaling violated for {_cls(v)}"
     return None
 
 
-def _sandwiched(val: int | Fraction, ref: int | Fraction, lam: QuadNum) -> bool:
-    """ref*conj(lam) < val < ref*lam for lam = x + y*sqrt(d), y > 0: ref > 0, |val - x*ref| < y*sqrt(d)*ref."""
-    return ref > 0 and (val - lam.a * ref) ** 2 < lam.b * lam.b * lam.d * ref * ref
+def _sandwiched(val: int | Fraction, ref: int | Fraction, tr: int, k: int, d: int) -> bool:
+    """ref*conj(lam) < val < ref*lam for lam = (tr + k*sqrt(d))/2, k > 0: ref > 0, |2*val - tr*ref| < k*sqrt(d)*ref."""
+    return ref > 0 and (2 * val - tr * ref) ** 2 < k * k * d * ref * ref
 
 
 def wall_crossing_sandwich(dyn: Dynamics, rng: Random, count: int) -> str | None:
@@ -81,11 +86,12 @@ def wall_crossing_sandwich(dyn: Dynamics, rng: Random, count: int) -> str | None
     factor lambda either way; needs the involutions.  Homogeneous, so decided on
     the integer pair m1*m2*v for v = (n1/m1)*ray1 + (n2/m2)*ray2."""
     s, tau2, (p1, q1), (p2, q2) = dyn.sigma, dyn.model.tau2, dyn.pi.ray1.integer_coords(), dyn.pi.ray2.integer_coords()
+    lam = _lam_ints(s.eigenvalue)
     for _ in range(count):
         n1, m1 = rng.randint(1, 99), rng.randint(1, 9)
         n2, m2 = rng.randint(1, 99), rng.randint(1, 9)
         w = n1 * m2 * p1 + n2 * m1 * p2, n1 * m2 * q1 + n2 * m1 * q2
-        if not _sandwiched(_area(tau2.apply_pair(w), s)[0], _area(w, s)[0], s.eigenvalue):
+        if not _sandwiched(_area(tau2.apply_pair(w), s)[0], _area(w, s)[0], *lam):
             return f"wall-crossing area sandwich violated for {_cls(Fraction(x, m1 * m2) for x in w)}"
     return None
 

@@ -32,7 +32,7 @@ def chi_nef(model: CYModel, D: DivisorClass) -> int:
 def h0_movable(
     model: CYModel, s: SigmaData, pi: Cone2, D: DivisorClass
 ) -> tuple[int, list[str]]:
-    """Sections of an integral class in the open movable cone.
+    """Sections of an integral class in the open movable cone; NotMovable outside it.
 
     Reduces D into the fundamental domain by birational pullbacks, which
     preserve h0, and returns chi of the reduced class D'.  A nef class of

@@ -14,6 +14,7 @@ from movcone import (
     DivisorClass,
     InvalidModel,
     LatticeMap,
+    NotMovable,
     QuadNum,
     RadicandMismatch,
     TriForm,
@@ -32,7 +33,7 @@ from movcone.chow import CIData, MultiProjAmbient
 from movcone.cones import SIGMA, SIGMA_INV, TAU2, _Value, det2
 from movcone.growth import estimate_exponent, geometric_grid, sweep
 from movcone.models import ModelFile, bundled_model_path, load_model
-from movcone.properties import _sandwiched, wall_crossing_sandwich
+from movcone.properties import _lam_ints, _sandwiched, wall_crossing_sandwich
 
 D = DivisorClass.from_ints
 
@@ -96,9 +97,8 @@ def test_every_value_type_takes_its_fields_in_slot_order(ex41, ex41_ideal):
             assert rebuilt == v and (cls.__hash__ is None or hash(rebuilt) == hash(v)), cls
             with pytest.raises(TypeError):
                 cls(*fields[:-1])
-        if cls is ModelFile:  # assignable; path takes no part in equality
+        if cls is ModelFile:  # path takes no part in equality
             assert v.path is not None and cls(*fields[:-1], None) == v
-            continue
         for name in (cls._fields[0], "other"):
             with pytest.raises(AttributeError):
                 setattr(v, name, None)
@@ -486,10 +486,13 @@ def test_reduce_rejects_domain_outside_movable(ex41):
 
 
 def test_reduce_rejects_outside_movable(ex41):
-    with pytest.raises(ValueError):
-        reduce_to_domain(ex41.model, ex41.sigma, ex41.pi, D(-1, 0))
-    with pytest.raises(ValueError):
-        reduce_to_domain(ex41.model, ex41.sigma, ex41.pi, D(0, 0))
+    # NotMovable is a ValueError with the message the CLI has always printed
+    assert issubclass(NotMovable, ValueError)
+    for reduce in (reduce_to_domain, h0_movable):
+        for cls, text in ((D(-1, 0), "[-1, 0]"), (D(0, 0), "[0, 0]")):
+            message = f"^{re.escape(text)} is not in the open movable cone; reduction undefined$"
+            with pytest.raises(NotMovable, match=message):
+                reduce(ex41.model, ex41.sigma, ex41.pi, cls)
 
 
 @pytest.mark.parametrize("reduce", [reduce_to_domain, h0_movable])
@@ -699,7 +702,7 @@ def test_sandwich_decision_matches_quadnum_compare(ex41, oguiso, synthetic):
             [Fraction(rng.randint(-9000, 9000), rng.randint(1, 12)), lam.a * ref]
             + [hi + e for e in (-1, 0, 1, 2)] + [lo + e for e in (-2, -1, 0, 1)]
         )
-        decided = _sandwiched(Fraction(val), ref, lam)
+        decided = _sandwiched(Fraction(val), ref, *_lam_ints(lam))
         assert decided == _quadnum_sandwich(val, ref, lam), (val, ref, lam)
         outcomes[decided, ref > 0] += 1
     assert min(outcomes.values()) > 50 and outcomes[True, False] == 0, outcomes

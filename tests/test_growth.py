@@ -1,5 +1,6 @@
 import io
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -12,10 +13,12 @@ from movcone import (
     estimate_exponent,
     floor_class,
     geometric_grid,
+    in_open_movable,
     sweep,
     write_csv,
 )
 from movcone.growth import CSV_HEADER, SweepRecord, render_l1
+from movcone.riemann_roch import ChamberCoveringError
 
 from test_acceptance import rounddown_check
 from test_cones import cone_coords, movable_cone
@@ -110,6 +113,35 @@ def test_sweep_skip_flags_non_movable_records(ex41):
     assert buf.getvalue().count(",1\n") == 3
     with pytest.raises(ValueError):
         estimate_exponent(recs)
+
+
+@pytest.mark.parametrize(
+    "name, ray, ms",
+    [
+        ("ex41", "r1", geometric_grid(256, 1 << 200)),
+        ("oguiso", "r1", geometric_grid(256, 1 << 200)),
+        # the (-1, 0) direction from m = 1: (5 - m, 5) is movable at m = 1, 2, 4 only
+        ("ex41", D(-1, 0), geometric_grid(1, 1 << 20)),
+    ],
+    ids=["ex41-deep", "oguiso-deep", "ex41-dir-1,0"],
+)
+def test_sweep_skips_exactly_the_rows_outside_the_open_movable_cone(name, ray, ms, request):
+    # the reduction's NotMovable marks a row skipped; in_open_movable on the
+    # floored class is the decision the sweep took before
+    dyn = request.getfixturevalue(name)
+    recs = sweep(dyn.model, dyn.sigma, dyn.pi, A55, ms, ray=ray)
+    assert [r.skipped for r in recs] == [not in_open_movable(r.floored, dyn.sigma) for r in recs]
+    assert all(r.h0 == r.word_length == 0 for r in recs if r.skipped)
+    assert all(r.h0 > 0 for r in recs if not r.skipped)
+    if not isinstance(ray, str):  # both outcomes occur on this grid
+        assert [r.skipped for r in recs] == [False] * 3 + [True] * 18
+
+
+def test_sweep_propagates_chamber_covering(synthetic):
+    # a row that reduces outside the nef cone stops the sweep: only the
+    # reduction's NotMovable counts as a skipped row, not any ValueError
+    with pytest.raises(ChamberCoveringError, match=re.escape("[-7, 151] is not nef")):
+        sweep(synthetic.model, synthetic.sigma, synthetic.pi, A55, geometric_grid(), ray="r1")
 
 
 def _records(pairs):

@@ -22,6 +22,7 @@ from movcone.properties import (
     _area,
     _bracketed,
     _cls,
+    _lam_ints,
     _movable,
     _slope_scaled,
     area_invariance,
@@ -74,12 +75,16 @@ def test_slope_decision_matches_slope_coordinate(name, request):
     dyn = request.getfixturevalue(name)
     s, sig = dyn.sigma, dyn.model.sigma
     lam2 = s.eigenvalue**2
+    # slope_scaling's integer 4*lambda^2, built from (tr, k, d), is the QuadNum one
+    tr, k, d = _lam_ints(s.eigenvalue)
+    lam4 = tr * tr + k * k * d, 2 * tr * k
+    assert QuadNum(*lam4, d) == 4 * lam2
     vs = list(_movable(dyn, random.Random(73), 300))
     outcomes = collections.Counter()
     for i, v in enumerate(vs):
         scaled = lam2 * slope_coordinate(_cls(v), s)
         for w in (sig.apply_pair(v), sig.pow(2).apply_pair(v), sig.inverse().apply_pair(v), vs[i - 1]):
-            decided = _slope_scaled(v, w, s, 4 * lam2)
+            decided = _slope_scaled(v, w, s, lam4)
             assert decided == (slope_coordinate(_cls(w), s) == scaled), (v, w)
             outcomes[decided] += 1
     assert outcomes[True] >= 300 and outcomes[False] >= 900, outcomes
