@@ -406,8 +406,11 @@ def eigen_coords(D: DivisorClass, s: SigmaData) -> tuple[QuadNum, QuadNum]:
 def area_coordinate(D: DivisorClass, s: SigmaData) -> QuadNum:
     """Product a1*a2 of the eigen-coordinates; invariant under sigma.  Rational for a
     rational D: a2 = +-conj(a1), as r2 = +-conj(r1) and det2(r1, r2) is purely irrational."""
-    A1, B1, A2, B2, n = _eigen_numerators(D, s)
-    d = s.eigenvalue.d
+    return _area_value(*_eigen_numerators(D, s), s.eigenvalue.d)
+
+
+def _area_value(A1: int, B1: int, A2: int, B2: int, n: int, d: int) -> QuadNum:
+    """a1*a2 for ai = (Ai + Bi*sqrt(d)) / n."""
     return QuadNum(Fraction(A1 * A2 + d * B1 * B2, n * n), Fraction(A1 * B2 + A2 * B1, n * n), d)
 
 

@@ -62,6 +62,14 @@ def quad_sign(a, b, d: int) -> int:
     return sa if s > 0 else -sa if s < 0 else 0
 
 
+def quad_floor(p: int, q: int, d: int, n: int) -> int:
+    """Floor of (p + q*sqrt(d)) / n for integers, n > 0 and q**2 * d no square
+    unless q == 0: (p + floor(q*sqrt(d))) // n, floor(q*sqrt(d)) being
+    isqrt(q**2 * d) for q >= 0 and -isqrt(q**2 * d) - 1 for q < 0."""
+    s = math.isqrt(q * q * d)
+    return (p + (s if q >= 0 else -s - 1)) // n
+
+
 @total_ordering
 class QuadNum:
     """Element a + b*sqrt(d) of Q(sqrt(d)), immutable and hashable.
@@ -200,22 +208,16 @@ class QuadNum:
     def __bool__(self):
         return bool(self._a or self._b)
 
-    def floor(self) -> int:
-        """Greatest integer <= self, decided exactly.
-
-        With self = (P + Q*sqrt(d)) / R and R > 0, floor(self) equals
-        (P + floor(Q*sqrt(d))) // R; floor(Q*sqrt(d)) is isqrt(Q**2 * d)
-        for Q > 0 and -isqrt(Q**2 * d) - 1 for Q < 0, as Q**2 * d is no
-        perfect square.
-        """
+    def numerators(self) -> tuple[int, int, int]:
+        """Integers (p, q, n) with self = (p + q*sqrt(d)) / n, n > 0 the least."""
         a, b = self._a, self._b
-        if not b:
-            return a.numerator // a.denominator
-        r = math.lcm(a.denominator, b.denominator)
-        p = a.numerator * (r // a.denominator)
-        q = b.numerator * (r // b.denominator)
-        s = math.isqrt(q * q * self._d)
-        return (p + (s if q > 0 else -s - 1)) // r
+        n = math.lcm(a.denominator, b.denominator)
+        return a.numerator * (n // a.denominator), b.numerator * (n // b.denominator), n
+
+    def floor(self) -> int:
+        """Greatest integer <= self, decided exactly by quad_floor."""
+        p, q, n = self.numerators()
+        return quad_floor(p, q, self._d, n)
 
     # -- rendering -----------------------------------------------------------
 

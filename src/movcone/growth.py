@@ -1,11 +1,11 @@
 """The growth experiment: floors of m times a boundary ray, the section-count
 sweep and least-squares growth-exponent estimation.  All section counts are
-exact integers; only the final fit runs in double precision."""
+exact integers, the floors, each row's area l1 and its CSV rendering work on
+integer numerators (p + q*sqrt(d)) / n, and only the final fit runs in floats."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .cones import (
     Cone2,
@@ -13,10 +13,11 @@ from .cones import (
     DivisorClass,
     NotMovable,
     SigmaData,
+    _area_value,
+    _eigen_numerators,
     _Value,
-    eigen_coords,
 )
-from .exact import QuadNum
+from .exact import QuadNum, quad_floor
 from .riemann_roch import h0_movable
 
 CSV_HEADER = "m,p,q,h0,l1_approx,word_len,skipped"
@@ -39,11 +40,13 @@ class FitReport(_Value):
 
 
 def floor_class(m: int, ray: DivisorClass, ample: DivisorClass) -> DivisorClass:
-    """Coefficient-wise floor of m*ray in the (H1, H2) basis, plus ample."""
+    """Coefficient-wise floor of m*ray in the (H1, H2) basis, plus ample: with
+    a coordinate (p + q*sqrt(d)) / n of ray, the floor of (m*p + m*q*sqrt(d)) / n."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     ap, aq = ample.integer_coords()
-    return DivisorClass.from_ints((ray.p * m).floor() + ap, (ray.q * m).floor() + aq)
+    (p1, q1, n1), (p2, q2, n2) = ray.p.numerators(), ray.q.numerators()
+    return DivisorClass.from_ints(quad_floor(m * p1, m * q1, ray.p.d, n1) + ap, quad_floor(m * p2, m * q2, ray.q.d, n2) + aq)
 
 
 def geometric_grid(mmin: int = 256, mmax: int = 1 << 20) -> list[int]:
@@ -86,18 +89,21 @@ def sweep(
     """One record per m along the chosen direction; skipped rows are kept.
 
     A row is skipped exactly when the reduction raises NotMovable.  The
-    eigen-coordinates of m*direction + ample are m*alpha + beta, alpha and
-    beta taken once per sweep, so l1 costs one product per row."""
+    eigen-coordinates of m*direction + ample have the integer numerators
+    m*alpha + beta over one n, alpha and beta taken once per sweep, and l1
+    is their area a1*a2, one QuadNum built per row."""
     _check_ample(ample)
     ms = list(ms)
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("m values must be strictly increasing")
-    direction = _resolve_direction(s, ray)
-    (al1, al2), (be1, be2) = eigen_coords(direction, s), eigen_coords(ample, s)
+    direction, d = _resolve_direction(s, ray), s.eigenvalue.d
+    # ample is integral, so its numerators are over the dual basis' n, which divides alpha's
+    (A1, B1, A2, B2, n), (*beta, k) = _eigen_numerators(direction, s), _eigen_numerators(ample, s)
+    C1, D1, C2, D2 = (x * (n // k) for x in beta)
     records = []
     for m in ms:
         floored = floor_class(m, direction, ample)
-        l1 = (al1 * m + be1) * (al2 * m + be2)
+        l1 = _area_value(m * A1 + C1, m * B1 + D1, m * A2 + C2, m * B2 + D2, n, d)
         try:
             h0, word = h0_movable(model, s, pi, floored)
             records.append(SweepRecord(m, floored, h0, l1, len(word), False))
@@ -149,16 +155,21 @@ def render_l1(x: QuadNum) -> str:
     < L1_DIGITS, otherwise as "d.ddd" plus "e+N"/"e-N"; trailing zeros are
     stripped down to "X.0".
     """
-    if not x:
+    (p, q, n), d = x.numerators(), x.d
+    if not (p or q):
         return "0.0"
-    f = x.floor()
+    f = quad_floor(p, q, d, n)
     negative = f < 0
     if negative:
-        x = -x
-        f = x.floor()
-    # 10**e <= x < 10**(e + 1), except e is one too small at x = 10**-k
-    e = len(str(f)) - 1 if f else -len(str(x.inverse().floor()))
-    m = (x * Fraction(10) ** (L1_DIGITS - e)).floor()
+        p, q = -p, -q
+        f = quad_floor(p, q, d, n)
+    # 10**e <= x < 10**(e + 1), except e is one too small at x = 10**-k;
+    # 1/x = n*(p - q*sqrt(d)) / norm, numerator and denominator negated when norm < 0
+    norm = p * p - q * q * d
+    t = 1 if norm > 0 else -1
+    e = len(str(f)) - 1 if f else -len(str(quad_floor(t * n * p, -t * n * q, d, t * norm)))
+    k = L1_DIGITS - e
+    m = quad_floor(p * 10**k, q * 10**k, d, n) if k >= 0 else quad_floor(p, q, d, n * 10**-k)
     if m >= 10 ** (L1_DIGITS + 1):
         e, m = e + 1, m // 10
     n = (m + 5) // 10

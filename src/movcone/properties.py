@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 from .cones import DivisorClass, Dynamics, _eigen_numerators, _same_open_cone
-from .exact import QuadNum, quad_sign
+from .exact import QuadNum, quad_floor, quad_sign
 from .riemann_roch import h0_movable
 
 
@@ -41,11 +41,9 @@ def _slope_scaled(v, w, s, lam4: tuple[int, int]) -> bool:
     return _mul((4 * C1, 4 * D1), (A2, B2), d) == _mul(_mul(lam4, (A1, B1), d), (C2, D2), d)
 
 
-def _bracketed(x: QuadNum, f: int) -> bool:
-    """f <= x < f + 1 for x = a + b*sqrt(d): r*(x - f) = P + Q*sqrt(d) for r = den(a)*den(b)."""
-    a, b, r = x.a, x.b, x.a.denominator * x.b.denominator
-    P, Q = a.numerator * b.denominator - f * r, b.numerator * a.denominator
-    return quad_sign(P, Q, x.d) >= 0 and quad_sign(P - r, Q, x.d) < 0
+def _bracketed(p: int, q: int, d: int, n: int, f: int) -> bool:
+    """f <= x < f + 1 for x = (p + q*sqrt(d)) / n, n > 0: n*(x - f) = (p - f*n) + q*sqrt(d)."""
+    return quad_sign(p - f * n, q, d) >= 0 and quad_sign(p - (f + 1) * n, q, d) < 0
 
 
 def _movable(dyn: Dynamics, rng: Random, count: int):
@@ -125,13 +123,14 @@ def chi_integrality(dyn: Dynamics, rng: Random, count: int) -> str | None:
 
 
 def floor_bracketing(dyn: Dynamics, rng: Random, count: int) -> str | None:
-    """floor(x) <= x < floor(x) + 1 in Q(sqrt(d)), d = 2, 3, 5 or the model's."""
+    """floor(x) <= x < floor(x) + 1 for exact.quad_floor in Q(sqrt(d)), d = 2, 3, 5 or the model's."""
     radicands = [2, 3, 5, dyn.sigma.eigenvalue.d]
     for _ in range(count):
         a = Fraction(rng.randint(-9000, 9000), rng.randint(1, 50))
         b = Fraction(rng.randint(-900, 900), rng.randint(1, 50))
         x = QuadNum(a, b, rng.choice(radicands))
-        if not _bracketed(x, x.floor()):
+        p, q, n = x.numerators()
+        if not _bracketed(p, q, x.d, n, quad_floor(p, q, x.d, n)):
             return f"floor bracketing violated for {x}"
     return None
 

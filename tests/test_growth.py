@@ -17,7 +17,9 @@ from movcone import (
     sweep,
     write_csv,
 )
+from movcone.cones import area_coordinate
 from movcone.growth import CSV_HEADER, SweepRecord, render_l1
+from movcone.properties import _bracketed
 from movcone.riemann_roch import ChamberCoveringError
 
 from test_acceptance import rounddown_check
@@ -48,6 +50,35 @@ def test_floor_class_step_is_bounded(ex41):
         dq = cur.integer_coords()[1] - prev.integer_coords()[1]
         assert -1 <= dp <= 1 and dq == 1
         prev = cur
+
+
+def _large_ms(seed: int) -> list[int]:
+    """m = 2^0 .. 2^400 and 200 seeded m < 2^400, increasing."""
+    rng = random.Random(seed)
+    return sorted({1 << k for k in range(401)} | {rng.randrange(1, 1 << 400) for _ in range(200)})
+
+
+@pytest.mark.parametrize("dyn", ["ex41", "oguiso"])
+@pytest.mark.parametrize("ray", ["r1", "r2"])
+def test_floor_class_brackets_large_m(dyn, ray, request):
+    # f <= m*x < f + 1 for each coordinate x = (p + q*sqrt(d)) / n of the ray,
+    # decided by quad_sign on integers, so the check does not rest on isqrt
+    s = request.getfixturevalue(dyn).sigma
+    direction = {"r1": s.ray1, "r2": s.ray2}[ray]
+    coords = [(*x.numerators(), x.d) for x in direction]
+    for m in _large_ms(20261020):
+        for f, (p, q, n, d) in zip(floor_class(m, direction, A55).integer_coords(), coords):
+            assert _bracketed(m * p, m * q, d, n, f - 5), (m, f)
+
+
+@pytest.mark.parametrize("dyn", ["ex41", "oguiso"])
+@pytest.mark.parametrize("ray", ["r1", "r2"])
+def test_sweep_l1_is_area_coordinate_at_large_m(dyn, ray, request):
+    dyn = request.getfixturevalue(dyn)
+    s = dyn.sigma
+    direction = {"r1": s.ray1, "r2": s.ray2}[ray]
+    for r in sweep(dyn.model, s, dyn.pi, A55, _large_ms(20261021), ray=ray):
+        assert r.l1 == area_coordinate(DivisorClass(direction.p * r.m + 5, direction.q * r.m + 5), s), r.m
 
 
 def test_geometric_grid_default():
@@ -284,9 +315,11 @@ def _nstr(x: QuadNum, digits: int = 30) -> str:
         return mpmath.nstr(v, digits)
 
 
-def test_render_l1_matches_nstr():
+def test_render_l1_matches_nstr(ex41, oguiso):
     """The exact rendering agrees with mpmath's nstr at 40-digit working
-    precision across fixed and exponent layouts, signs and carries."""
+    precision across fixed and exponent layouts, signs and carries, and on
+    the l1 of the r1 and r2 sweeps m = 2^0 .. 2^200 of both bundled models
+    with amples (5, 5) and (2, 3)."""
     rng = random.Random(20261018)
     values = [QuadNum(0), QuadNum(1), QuadNum(-1), QuadNum(10**29), QuadNum(10**30)]
     values += [QuadNum(Fraction(1, 10**k)) for k in (4, 9, 10, 11)]
@@ -296,5 +329,9 @@ def test_render_l1_matches_nstr():
         a = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) * scale
         b = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) * scale
         values.append(QuadNum(a, b if rng.random() < 0.7 else 0, rng.choice([2, 3, 5, 33])))
+    for dyn in (ex41, oguiso):
+        for ray in ("r1", "r2"):
+            for ample in (A55, D(2, 3)):
+                values += [r.l1 for r in sweep(dyn.model, dyn.sigma, dyn.pi, ample, [1 << k for k in range(201)], ray=ray)]
     for x in values:
         assert render_l1(x) == _nstr(x), x

@@ -17,7 +17,8 @@ from movcone.cones import (
     eigen_coords,
     slope_coordinate,
 )
-from movcone.exact import QuadNum, quad_sign
+from movcone import properties
+from movcone.exact import QuadNum, quad_floor, quad_sign
 from movcone.properties import (
     _area,
     _bracketed,
@@ -179,8 +180,9 @@ def test_floor_bracket_matches_quadnum_compare(name, request):
                 xs += [QuadNum(Fraction(m * k - h, k), 1, d), QuadNum(Fraction(m * k + h, k), -1, d)]
     outcomes = collections.Counter()
     for x in xs:
+        p, q, n = x.numerators()
         for f in (x.floor() - 1, x.floor(), x.floor() + 1):
-            decided = _bracketed(x, f)
+            decided = _bracketed(p, q, x.d, n, f)
             assert decided == _bracketed_by_compare(x, f), (x, f)
             outcomes[decided] += 1
     assert outcomes[True] == len(xs) and outcomes[False] == 2 * len(xs), outcomes
@@ -209,8 +211,7 @@ def test_a_wrong_dual_basis_fails_every_eigen_suite(name, request):
 
 
 def test_a_floor_one_too_small_fails_floor_bracketing(ex41, monkeypatch):
-    floor = QuadNum.floor
-    monkeypatch.setattr(QuadNum, "floor", lambda x: floor(x) - 1)
+    monkeypatch.setattr(properties, "quad_floor", lambda *args: quad_floor(*args) - 1)
     assert (floor_bracketing(ex41, random.Random(101), 200) or "").startswith("floor bracketing violated for")
 
 
