@@ -6,13 +6,15 @@ fewer variables), once per ideal.  Each column is a monomial whose exponent
 vectors are packed into one integer per kind, in base a+1 (x) or b+1 (y): a
 degree-a exponent is at most a, so a generator term's key plus a
 multiplier's key is the product's key, with no carries.  The relation matrix
-is more than 99% zeros, so a row m*f is the list of its columns, leading
-monomial first, beside the coefficients of f that all rows of f share.  The
-elimination follows the row order of F4's linear algebra (Faugere-Lachartre):
-signature order (below), which is shortest first, each row reduced against
-pivot rows keyed by their highest column, which keeps them sparse.  A pivot
-row is kept as built, beside the inverse of its leading entry, so a row that
-meets no pivot, as most do, becomes one with no dict and no reduction.
+is more than 99% zeros, so a row m*f is a pair (xs, y) of shared parts beside
+the coefficients that all rows of f share: xs, the x part of its columns, is
+shared by the rows whose multiplier has m's x part, y likewise, and its
+columns are map(add, xs, y), leading monomial first.  The elimination
+follows the row order of F4's linear algebra (Faugere-Lachartre): signature
+order (below), which is shortest first, each row reduced against pivot rows
+keyed by their highest column, which keeps them sparse.  A pivot row is kept
+as built, beside the inverse of its leading entry, so a row that meets no
+pivot, as most do, becomes one with no dict, no reduction and no columns.
 
 One monomial order numbers the columns, picks the pivots and gives the
 leading monomials below: grevlex within each kind (x0 > x1 > ..., likewise
@@ -26,9 +28,10 @@ Rows are dropped before the elimination by Faugere's F5 criteria (ISSAC
 ideal keeps its generators fewest terms first, and the row m*f_j has the
 signature (j, m): j is the position of f_j there, which a bidegree that
 leaves generators out does not change, and signatures are ordered by j,
-then by m in the column order.  hilbert_dim builds each row with its
-signature, in signature order, and _rank_mod eliminates them in it; each
-generator's rows have its term count, so that order is shortest first.
+then by m in the column order.  hilbert_dim builds the rows in signature
+order, and _rank_mod eliminates them in it; each generator's rows have its
+term count, so that order is shortest first.  No row keeps its signature:
+the highest column of a zero row is LM(f_j)*m, so m is read off it.
 The row m*f_j is dropped when m is divisible by the leading monomial
 LM(f_i) of an earlier generator (a Koszul syzygy) or by a syzygy multiplier
 of f_j learned on the same ideal, read from the signature of a row that
@@ -67,9 +70,10 @@ triple intersection numbers and c2-degrees.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import comb, gcd
 from operator import add
 from pathlib import Path
@@ -278,7 +282,10 @@ def _monomials(nvars: int, deg: int, base: int) -> tuple[int, ...]:
 
 
 def _pack(exponents: tuple[int, ...], base: int) -> int:
-    return sum(e * base**i for i, e in enumerate(exponents))
+    key = 0
+    for e in reversed(exponents):
+        key = key * base + e
+    return key
 
 
 def _unpack(key: int, nvars: int, base: int) -> tuple[int, ...]:
@@ -292,36 +299,37 @@ def _divisors(e: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
 
 def _rank_mod(groups: list[tuple], p: int, zeros: list[int] | None = None) -> int:
     """Rank of sparse integer rows modulo a prime p.  Rows come in groups
-    (coefficients, [columns, ...]), taken in order: a row's columns pair
-    with its group's coefficients, its highest column first.
+    (coefficients, [(xs, y), ...]), taken in order: a row's columns are
+    map(add, xs, y), highest first, and pair with its group's coefficients.
     Each row is reduced against pivot rows keyed by their highest column,
     kept as built beside the inverse of their leading entry, which a group
-    computes at most once.  A row whose highest column has no pivot yet
-    becomes one as built; only a row that meets a pivot, or a row of a
-    group with a coefficient that is 0 mod p, is reduced as a dict {column:
+    computes at most once.  A row whose highest column xs[0] + y[0] has no
+    pivot yet becomes one as built, its columns formed only when a row is
+    reduced against it; only a row that meets a pivot, or a row of a group
+    with a coefficient that is 0 mod p, is reduced as a dict {column:
     coefficient}.  The index of each row that reduces to zero, over all
     groups, is appended to zeros."""
-    pivots: dict[int, tuple] = {}  # column -> (columns, coefficients, inverse of the leading entry)
+    pivots: dict[int, tuple] = {}  # column -> (xs, y or None if xs are the columns, coefficients, leading inverse)
     i = -1
     for coeffs, rows in groups:
         coeffs = [v % p for v in coeffs]
         as_built = coeffs and all(coeffs)
         inv = None
-        for cols in rows:
+        for xs, y in rows:
             i += 1
-            if as_built and cols[0] not in pivots:
+            if as_built and (lead := xs[0] + y[0]) not in pivots:
                 inv = inv or pow(coeffs[0], -1, p)
-                pivots[cols[0]] = cols, coeffs, inv
+                pivots[lead] = xs, y, coeffs, inv
                 continue
-            row = {c: v for c, v in zip(cols, coeffs) if v}
+            row = {c: v for c, v in zip(map(add, xs, y), coeffs) if v}
             while row:
                 c = max(row)
                 if (pivot := pivots.get(c)) is None:
-                    pivots[c] = row.keys(), row.values(), pow(row[c], -1, p)
+                    pivots[c] = row.keys(), None, row.values(), pow(row[c], -1, p)
                     break
-                pcols, pcoeffs, pinv = pivot
+                pxs, py, pcoeffs, pinv = pivot
                 f = row[c] * pinv % p
-                for k, v in zip(pcols, pcoeffs):
+                for k, v in zip(pxs if py is None else map(add, pxs, py), pcoeffs):
                     if w := (row.get(k, 0) - f * v) % p:
                         row[k] = w
                     else:
@@ -338,7 +346,7 @@ def _rank_exact(groups: list[tuple], zeros: list[int]) -> int:
     reduction step cross-multiplies by the two leading entries over their
     gcd, and each new pivot is divided by its content."""
     pivots: dict[int, dict] = {}  # column -> primitive row with its highest entry there
-    for i, row in enumerate(dict(zip(cols, coeffs)) for coeffs, rows in groups for cols in rows):
+    for i, row in enumerate(dict(zip(map(add, xs, y), coeffs)) for coeffs, rows in groups for xs, y in rows):
         while row:
             c = max(row)
             if (pivot := pivots.get(c)) is None:
@@ -428,12 +436,11 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
     a, b = bidegree
     ideal = ideal.substituted
     ring = ideal.ring
-    xi = {e: i for i, e in enumerate(_monomials(ring.x_count, a, a + 1))}
-    yi = {e: i for i, e in enumerate(_monomials(ring.y_count, b, b + 1))}
-    ny = len(yi)
-    ncols = len(xi) * ny
+    xm, ym = _monomials(ring.x_count, a, a + 1), _monomials(ring.y_count, b, b + 1)
+    xi, yi = {e: i for i, e in enumerate(xm)}, {e: i for i, e in enumerate(ym)}
+    ny, ncols = len(ym), len(xm) * len(ym)
 
-    groups, sigs = [], []  # the kept rows m*f_j per generator, and each one's signature (j, x key, y key of m)
+    groups, sigs = [], []  # per generator f_j, its kept rows m*f_j as pairs (xs, y) and (j, x key, y key of LM(f_j))
     leads = []  # the leading monomial of each earlier generator
     learned = ideal.syzygy_signatures
     for j, g in enumerate(ideal.generators):
@@ -457,24 +464,27 @@ def hilbert_dim(ideal: IdealSpec, bidegree: tuple[int, int]) -> int:
                 for t in _monomials(ring.x_count, a - ga - la, a + 1):
                     skip.setdefault(lx + t, set()).update(tys)
         leads.append(terms[0][0])
-        rows: list[list[int]] = []
+        rows: list[tuple] = []
         groups.append((tuple(c for _, c in terms), rows))
+        sigs.append((j, gx[0], gy[0]))
         ys = [(yq, [yi[k + yq] for k in gy]) for yq in _monomials(ring.y_count, b - gb, b + 1)]
         for xq in _monomials(ring.x_count, a - ga, a + 1):
             xs = [xi[k + xq] * ny for k in gx]
             skipped = skip.get(xq, ())
-            for yq, y in ys:
-                if yq not in skipped:
-                    sigs.append((j, xq, yq))
-                    rows.append(list(map(add, xs, y)))
+            rows += [(xs, y) for yq, y in ys if yq not in skipped]
     zeros: list[int] = []
     rank = _rank_mod(groups, _PRIME, zeros)
     if zeros:  # maybe not zero over Q: rank over Z unless the pivots fill every column
         zeros.clear()
         rank = _rank_exact(groups, zeros) if rank < ncols else rank
+    # the packing has no carries, so a zero row's highest column xs[0] + y[0]
+    # is LM(f_j)*m: m's keys are that column's x and y keys less LM(f_j)'s
+    starts = list(accumulate((len(rows) for _, rows in groups), initial=0))
     found: dict[int, dict] = {}
-    for j, xq, yq in (sigs[i] for i in zeros):
-        found.setdefault(j, {})[_unpack(xq, ring.x_count, a + 1), _unpack(yq, ring.y_count, b + 1)] = None
+    for i in zeros:
+        (j, lx, ly), (xs, y) = sigs[k := bisect_right(starts, i) - 1], groups[k][1][i - starts[k]]
+        found.setdefault(j, {})[_unpack(xm[xs[0] // ny] - lx, ring.x_count, a + 1),
+                                _unpack(ym[y[0]] - ly, ring.y_count, b + 1)] = None
     # the multipliers found for f_j share one degree (dx, dy), and none is a
     # multiple of a learned one; drop the learned ones they divide
     for j, ms in found.items():

@@ -295,14 +295,27 @@ def test_default_sample_grid_rejects_degrees_past_the_cap(max_degree):
         default_sample_grid(max_degree)
 
 
+def _rows(groups):
+    """Groups (coefficients, [columns, ...]) as _rank_mod takes them: each
+    row a pair (xs, y) whose columns are map(add, xs, y), here each column c
+    split as c // 2 + (c - c // 2), so that a rank must read both parts."""
+    return [(coeffs, [([c // 2 for c in cols], [c - c // 2 for c in cols]) for cols in rows])
+            for coeffs, rows in groups]
+
+
+def _dicts(groups):
+    """Every row of groups of (xs, y) rows as a dict {column: coefficient}."""
+    return [dict(zip(map(add, xs, y), coeffs)) for coeffs, rows in groups for xs, y in rows]
+
+
 def _sparse(matrix):
-    """Each row as its own group (coefficients, [columns]): its nonzero
+    """Each row as its own group (coefficients, [row]): its nonzero
     entries from the highest column down."""
     groups = []
     for row in matrix:
         cols = [j for j in reversed(range(len(row))) if row[j]]
         groups.append((tuple(row[j] for j in cols), [cols]))
-    return groups
+    return _rows(groups)
 
 
 def test_rank_agrees_across_primes():
@@ -403,7 +416,7 @@ def _reference_rank_mod(rows, p, zeros=None):
 
 
 def _random_groups(rng, p):
-    """Groups (coefficients, [columns, ...]) over at most 8 columns, each
+    """Groups (coefficients, [(xs, y), ...]) over at most 8 columns, each
     row's highest column first: coefficients up to 9 in size, lifted by
     multiples of the prime p, some groups reusing an earlier coefficient
     tuple, some with a leading coefficient that is 0 modulo p, and about
@@ -429,7 +442,7 @@ def _random_groups(rng, p):
             rng.shuffle(rest)
             rows.append(([max(cols)] if cols else []) + rest)
         groups.append((coeffs, rows))
-    return groups
+    return _rows(groups)
 
 
 def test_rank_mod_matches_the_dict_elimination():
@@ -443,7 +456,7 @@ def test_rank_mod_matches_the_dict_elimination():
         before = repr(groups)
         zeros, want_zeros = [], []
         rank = _rank_mod(groups, p, zeros)
-        want = _reference_rank_mod([dict(zip(cols, coeffs)) for coeffs, rows in groups for cols in rows], p, want_zeros)
+        want = _reference_rank_mod(_dicts(groups), p, want_zeros)
         assert (rank, zeros) == (want, want_zeros), seed
         assert repr(groups) == before, seed
         leads = {coeffs[0] % p for coeffs, rows in groups if coeffs and rows}
@@ -459,9 +472,9 @@ def test_rank_mod_matches_the_dict_elimination():
 def test_entry_divisible_by_the_prime_is_ranked_exactly(monkeypatch):
     # _PRIME*x0*y0 is zero modulo the prime: its row falls to zero there
     # and the one column has no pivot, so the piece is ranked over Z
-    assert _rank_mod([((_PRIME,), [[0]])], _PRIME) == 0
+    assert _rank_mod(_rows([((_PRIME,), [[0]])]), _PRIME) == 0
     zeros = []
-    assert _rank_exact([((_PRIME,), [[0]])], zeros) == 1 and zeros == []
+    assert _rank_exact(_rows([((_PRIME,), [[0]])]), zeros) == 1 and zeros == []
     ideal = parse_ideal_text(f"ring x=1 y=1\n{_PRIME}*x0*y0")
     seen = _record_ranks(monkeypatch)
     assert hilbert_dim(ideal, (1, 1)) == 0
@@ -525,7 +538,7 @@ def test_substitution_drops_example41_linear_form(ex41_ideal, monkeypatch):
         # one column per coefficient, and every row's first column is its highest
         assert [sorted(coeffs) for coeffs, _ in groups] == [sorted(c for _, c in g.terms) for g in sub.generators]
         for coeffs, rows in groups:
-            for cols in rows:
+            for cols in (list(map(add, xs, y)) for xs, y in rows):
                 assert len(set(cols)) == len(cols) == len(coeffs)
                 assert cols[0] == max(cols) and all(0 <= c < 150 for c in cols)
         rank = _rank_mod(groups, n, zeros)
@@ -700,7 +713,7 @@ def _record_rows(monkeypatch):
     seen = []
 
     def spy(groups, n, zeros):
-        seen.append([dict(zip(cols, coeffs)) for coeffs, rows in groups for cols in rows])
+        seen.append(_dicts(groups))
         return _rank_mod(groups, n, zeros)
 
     monkeypatch.setattr(hilbert, "_rank_mod", spy)
@@ -809,12 +822,14 @@ def _exponents(n, d):
 
 def _all_rows(ideal, a, b):
     """Column count and every row m*g of the relation matrix, in generator
-    order, with no row dropped: one group (coefficients, [columns, ...]) per
+    order, with no row dropped: one group (coefficients, [(xs, y), ...]) per
     generator.  The columns run in lex order on (x exponents, y exponents),
-    a monomial order, so g's lex-largest term comes first in every row."""
+    a monomial order, so g's lex-largest term comes first in every row; the
+    column of x part u and y part v is ny*(index of u) + (index of v), and
+    a row's xs and y are its terms' two summands."""
     ring = ideal.ring
-    cols = list(product(_exponents(ring.x_count, a), _exponents(ring.y_count, b)))
-    index = {c: i for i, c in enumerate(cols)}
+    xs_index = {e: i for i, e in enumerate(_exponents(ring.x_count, a))}
+    ys_index = {e: i for i, e in enumerate(_exponents(ring.y_count, b))}
     groups = []
     for g in ideal.generators:
         ga, gb = g.bidegree
@@ -822,10 +837,11 @@ def _all_rows(ideal, a, b):
             continue
         terms = sorted(g.terms, reverse=True)
         groups.append((tuple(c for _, c in terms), [
-            [index[tuple(map(sum, zip(xe, xq))), tuple(map(sum, zip(ye, yq)))] for (xe, ye), _ in terms]
+            ([xs_index[tuple(map(sum, zip(xe, xq)))] * len(ys_index) for (xe, _), _ in terms],
+             [ys_index[tuple(map(sum, zip(ye, yq)))] for (_, ye), _ in terms])
             for xq, yq in product(_exponents(ring.x_count, a - ga), _exponents(ring.y_count, b - gb))
         ]))
-    return len(cols), groups
+    return len(xs_index) * len(ys_index), groups
 
 
 def _dim_over_q(ideal, a, b):
@@ -833,8 +849,8 @@ def _dim_over_q(ideal, a, b):
     by exact echelon reduction of sparse Fraction rows."""
     ncols, groups = _all_rows(ideal, a, b)
     pivots = {}  # column -> reduced row with 1 there
-    for row in (zip(cols, coeffs) for coeffs, rows in groups for cols in rows):
-        row = {k: Fraction(v) for k, v in row}
+    for row in _dicts(groups):
+        row = {k: Fraction(v) for k, v in row.items()}
         while row:
             col = min(row)
             if col not in pivots:
@@ -946,7 +962,7 @@ def test_chain_of_199_forms_pins_its_dimensions():
 def test_rank_mod_takes_rows_in_order_and_lists_the_zero_rows():
     # row 2 is row 0 less row 1 and row 3 is twice row 0; taken shortest
     # first, row 0 would reduce to zero instead of row 2
-    rows = [((1, 1, 1), [[2, 1, 0]]), ((1,), [[0]]), ((1, 1), [[2, 1]]), ((2, 2, 2), [[2, 1, 0]])]
+    rows = _rows([((1, 1, 1), [[2, 1, 0]]), ((1,), [[0]]), ((1, 1), [[2, 1]]), ((2, 2, 2), [[2, 1, 0]])])
     for rank in (lambda zeros: _rank_mod(rows, _PRIME, zeros), lambda zeros: _rank_exact(rows, zeros)):
         zeros = []
         assert rank(zeros) == 2
@@ -970,7 +986,7 @@ def _mul(m, n):
 
 def _signature_rows(ideal, a, b):
     """Every row m*f_j of the bidegree (a, b) piece as ((j, m), (coefficients,
-    [columns])), in signature order: j the position of f_j in ideal's
+    [(xs, y)])), in signature order: j the position of f_j in ideal's
     generators, then the multiplier m in the column order.  The rows of f_j
     share one coefficient tuple, its leading term first."""
     nx, ny = ideal.ring.x_count, ideal.ring.y_count
@@ -981,7 +997,7 @@ def _signature_rows(ideal, a, b):
         if ga <= a and gb <= b:
             terms = sorted(g.terms, key=lambda t: _column_key(t[0]), reverse=True)
             coeffs = tuple(c for _, c in terms)
-            rows.extend(((j, m), (coeffs, [[index[_mul(m, mono)] for mono, _ in terms]]))
+            rows.extend(((j, m), _rows([(coeffs, [[index[_mul(m, mono)] for mono, _ in terms]])])[0])
                         for m in _column_order(nx, ny, a - ga, b - gb))
     return rows
 
@@ -1055,6 +1071,76 @@ def test_learned_signatures_keep_every_rank():
                 assert dim == _dim_over_q(ideal, a, b), (seed, a, b)
         _check_signatures(ideal)
         learned += bool(ideal.substituted.syzygy_signatures)
+    assert learned >= 20
+
+
+def _exponents_dividing(e, d):
+    return [f for f in product(*(range(k + 1) for k in e)) if sum(f) == d]
+
+
+def _learn_beside_a_reference(ideal, order, monkeypatch):
+    """Rank the pieces of a fresh copy of ideal in order, and beside
+    hilbert_dim's store keep a reference one that records the generator j
+    of each kept row and takes each zero row's signature (j, m) from the
+    row itself: m is the gcd of its monomials over the gcd of f_j's terms.
+    The zero rows of each rank over Z are learned, dropping the learned
+    multipliers they divide.  After each call the two stores must be equal.
+    Returns the number of multipliers learned."""
+    ideal = IdealSpec(ideal.ring, ideal.generators)
+    sub = ideal.substituted
+    nx, ny = sub.ring.x_count, sub.ring.y_count
+    reference, found, piece = {}, [], []
+
+    def spy(groups, zeros):
+        rank = _rank_exact(groups, zeros)
+        a, b = piece
+        xs, ys = (sorted(_exponents(n, d), key=cmp_to_key(_grevlex_cmp)) for n, d in ((nx, a), (ny, b)))
+        gens = [(j, g) for j, g in enumerate(sub.generators) if g.bidegree[0] <= a and g.bidegree[1] <= b]
+        kept = [(j, g, row) for (j, g), (_, rows) in zip(gens, groups) for row in rows]
+        for j, g, (row_x, row_y) in map(kept.__getitem__, zeros):
+            monos = [xs[c // len(ys)] + ys[c % len(ys)] for c in map(add, row_x, row_y)]
+            low = [min(e) for e in zip(*(xe + ye for (xe, ye), _ in g.terms))]
+            m = [min(e) - least for e, least in zip(zip(*monos), low)]
+            found.append((j, (tuple(m[:nx]), tuple(m[nx:]))))
+        return rank
+
+    monkeypatch.setattr(hilbert, "_rank_exact", spy)
+    for bd in order:
+        piece[:], found[:] = bd, []
+        hilbert_dim(ideal, bd)
+        for j in {j for j, _ in found}:
+            ms = {m for i, m in found if i == j}
+            dx, dy = map(sum, next(iter(ms)))
+            reference[j] = [s for s in reference.get(j, []) if not any(
+                (u, v) in ms for u in _exponents_dividing(s[0], dx) for v in _exponents_dividing(s[1], dy))] + sorted(ms)
+        assert _store(ideal) == {j: sorted(ms) for j, ms in reference.items()}, bd
+    return sum(map(len, reference.values()))
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+@pytest.mark.parametrize("name, count", [("example41", 8), ("oguiso", 1)])
+def test_signatures_read_off_the_leading_column_match_each_rows_own(name, count, order, ex41_ideal, oguiso_ideal,
+                                                                    monkeypatch):
+    # no row carries its signature: a zero row's multiplier is read off its
+    # highest column, against the leading monomial of its own generator
+    grid = default_sample_grid(6)
+    grid = {"increasing": grid, "decreasing": grid[::-1], "shuffled": random.Random(6).sample(grid, len(grid))}[order]
+    base = ex41_ideal if name == "example41" else oguiso_ideal
+    assert _learn_beside_a_reference(base, grid, monkeypatch) == count
+
+
+def test_signatures_read_off_the_leading_column_on_syzygy_ideals(monkeypatch):
+    # f_3 = y0*f_2 and y1*f_4 are zero rows at (1, 2), a piece that leaves
+    # f_0 out, so their groups' positions are 2 and 3, not 3 and 4
+    ideal = parse_ideal_text("ring x=2 y=2\nx0^2*y0\nx0*y0\nx1*y1 + x0*y1\nx1*y0*y1 + x0*y0*y1\nx0*y1 + x1*y0 + x1*y1")
+    assert _learn_beside_a_reference(ideal, [(1, 2)], monkeypatch) == 2
+    learned = 0
+    for seed in range(40):
+        rng = random.Random(f"syzygy:{seed}")
+        ideal = _syzygy_ideal(rng)
+        grid = list(product(range(4), repeat=2))
+        rng.shuffle(grid)
+        learned += bool(_learn_beside_a_reference(ideal, grid, monkeypatch))
     assert learned >= 20
 
 
