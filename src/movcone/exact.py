@@ -77,14 +77,14 @@ class QuadNum:
     The radicand d must be > 1 and not a perfect square when b != 0; it is
     stored as given, never factored.  When the sqrt coefficient vanishes the
     value is stored in a canonical rational form so that equal values always
-    have equal representations.
+    have equal representations; a, b are plain reduced Fractions, kept as given.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a=0, b=0, d: int = _RATIONAL_D):
-        self._a = Fraction(a)
-        self._b = b = Fraction(b)
+        self._a = a if a.__class__ is Fraction else Fraction(a)
+        self._b = b = b if b.__class__ is Fraction else Fraction(b)
         self._d = d if b else _RATIONAL_D
 
     @property

@@ -75,6 +75,27 @@ def test_division_by_zero():
         QuadNum(1, 1, 2) / QuadNum(0, 0, 2)
 
 
+def test_constructor_keeps_plain_fractions_and_converts_the_rest():
+    """Plain Fraction parts are stored as given (they are immutable and in
+    lowest terms); every other input, a Fraction subclass included, becomes
+    a plain Fraction, and so does every part of an arithmetic result."""
+    f, g = Fraction(7, 3), Fraction(-2, 5)
+    q = QuadNum(f, g, 33)
+    assert q.a is f and q.b is g and q.d == 33
+
+    class Sub(Fraction):
+        pass
+
+    for a, b in ((3, True), (False, -4), (Sub(1, 2), Sub(-6, 4))):
+        x = QuadNum(a, b, 5)
+        assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert (x.a, x.b) == (Fraction(a), Fraction(b))
+    assert QuadNum(f, Fraction(0), 33).d == QuadNum(f).d == exact._RATIONAL_D
+    r = QuadNum(1, 1, 33)
+    for y in (q + r, q * r, q - r, r - q, q.inverse(), q.conjugate(), -q, q * 2, 1 + q):
+        assert type(y.a) is Fraction and type(y.b) is Fraction
+
+
 @pytest.mark.parametrize("name", ["ex41", "oguiso"])
 def test_values_never_factor_their_radicand(name, request, monkeypatch):
     """eigen_sigma factors tr^2 - 4 once per model; after that, field
