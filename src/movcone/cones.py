@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import QuadNum, RadicandMismatch, squarefree_decompose
+from .exact import QuadNum, RadicandMismatch, quad_sign, squarefree_decompose
 
 SIGMA = "sigma"
 SIGMA_INV = "sigma_inv"
@@ -109,7 +109,7 @@ def det2(u, v):
 
 
 def _sign(x) -> int:
-    return x.compare(0) if isinstance(x, QuadNum) else (x > 0) - (x < 0)
+    return quad_sign(x.a, x.b, x.d) if isinstance(x, QuadNum) else (x > 0) - (x < 0)
 
 
 def coord_signs(r1, r2, D) -> tuple[int, int]:

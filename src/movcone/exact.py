@@ -4,8 +4,9 @@ A value is a + b*sqrt(d) with rational a, b and a radicand d > 1 that is
 not a perfect square, taken as given: the field is chosen once per model,
 where cones.eigen_sigma factors tr^2 - 4, and arithmetic inherits its d.
 Values over different radicands never mix (RadicandMismatch); rational
-values mix with any field.  Every comparison, sign test and floor is
-decided with integer arithmetic only; floats never enter any branch.
+values mix with any field.  quad_sign is the one sign routine (compare,
+cones._sign, the property suites and the floor checks all call it) and
+quad_floor the one floor; both decide on integers, floats never enter.
 """
 
 from __future__ import annotations
@@ -184,12 +185,11 @@ class QuadNum:
     # -- comparison ----------------------------------------------------------
 
     def compare(self, other) -> int:
-        """Exact sign of self - other: -1, 0 or +1."""
+        """Sign of self - other (-1, 0, +1): one quad_sign call on the part differences."""
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
-        z = self - o
-        return quad_sign(z._a, z._b, z._d)
+        return quad_sign(self._a - o._a, self._b - o._b, self._join_d(o))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,7 +20,7 @@ from movcone import (
     h0_movable,
     squarefree_decompose,
 )
-from movcone.cones import prepare
+from movcone.cones import _sign, prepare
 from movcone.properties import area_invariance
 
 fractions_st = st.fractions(min_value=-60, max_value=60, max_denominator=16)
@@ -66,8 +67,19 @@ def test_radicand_mismatch_raises():
         QuadNum(1, 1, 2) + QuadNum(1, 1, 3)
     with pytest.raises(RadicandMismatch):
         QuadNum(0, 1, 2) * QuadNum(0, 1, 5)
+    with pytest.raises(RadicandMismatch):
+        QuadNum(1, 1, 2) - QuadNum(1, 1, 3)
+    with pytest.raises(RadicandMismatch):
+        QuadNum(1, 1, 2).compare(QuadNum(1, 1, 3))
     # rational values interoperate with any field
     assert QuadNum(5, 0, 2) + QuadNum(1, 1, 3) == QuadNum(6, 1, 3)
+    diff = QuadNum(5, 0, 2) - QuadNum(1, 1, 3)
+    assert diff == QuadNum(4, -1, 3) and diff.d == 3
+    assert (QuadNum(1, 1, 3) - QuadNum(5, 0, 2)).d == 3
+    assert QuadNum(5, 0, 2).compare(QuadNum(1, 1, 3)) > 0
+    # a difference that cancels the sqrt part stores the filler radicand
+    z = QuadNum(Fraction(7, 3), Fraction(-2, 5), 33) - QuadNum(Fraction(7, 3), Fraction(-2, 5), 33)
+    assert z == QuadNum(0) and z.is_rational and z.d == exact._RATIONAL_D
 
 
 def test_division_by_zero():
@@ -157,6 +169,8 @@ def test_field_axioms(coeffs, d):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
+    assert x - y == x + (-y)
+    assert (x - y) + y == x
     if x:
         assert x * x.inverse() == QuadNum(1)
         assert (x / x) == QuadNum(1)
@@ -199,6 +213,60 @@ def test_compare_against_high_precision_interval():
             )
             want = 0 if abs(diff) < mpmath.mpf(10) ** -150 else (1 if diff > 0 else -1)
             assert x.compare(y) == want, (x, y)
+
+
+def _pell_values(d: int) -> list[tuple[int, int]]:
+    """(p, -q) for every convergent p/q of sqrt(d) below 10**60 with
+    p**2 - d*q**2 = +-1, so that p - q*sqrt(d) = +-1 / (p + q*sqrt(d)):
+    a and b*sqrt(d) agree to about 2*len(str(p)) significant digits."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, p1, q0, q1 = 1, a0, 0, 1
+    out = []
+    while p1 < 10**60:
+        if abs(p1 * p1 - d * q1 * q1) == 1:
+            out.append((p1, -q1))
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+    return out
+
+
+def test_signs_of_near_cancelling_pell_values():
+    """quad_sign, cones._sign and QuadNum.compare agree with 200-digit
+    numerics on +-f*(p - q*sqrt(d)) for Pell solutions p**2 - d*q**2 = +-1 up
+    to 60 digits and random Fractions f, and on zero, purely rational and
+    purely irrational values."""
+    rng = random.Random(20261020)
+    cases = [(0, 0, 2), (0, 0, 1001)]
+    for d in (2, 3, 5, 7, 33, 1001):
+        pell = _pell_values(d)
+        assert pell and len(str(pell[-1][0])) >= 57
+        for p, q in pell:
+            for _ in range(3):
+                f = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+                cases.append((f * p, f * q, d))
+            cases.append((-p, -q, d))
+        for _ in range(10):
+            f = Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**6))
+            cases += [(f, 0, d), (0, f, d)]
+    with mpmath.workdps(200):
+        for a, b, d in cases:
+            a, b = Fraction(a), Fraction(b)
+            v = mpmath.mpf(a.numerator) / a.denominator + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(d)
+            assert (v == 0) == (not a and not b) and (v == 0 or abs(v) > mpmath.mpf(10) ** -150)
+            want = int(mpmath.sign(v))
+            x = QuadNum(a, b, d)
+            assert exact.quad_sign(a, b, d) == want, (a, b, d)
+            assert _sign(x) == want, x
+            assert x.compare(0) == want, x
+            # the same sign read off a difference of two values near 10**60
+            y = QuadNum(a + 10**60, b - 3 * 10**59, d)
+            assert y.compare(QuadNum(10**60, -3 * 10**59, d)) == want, x
+            assert QuadNum(10**60, -3 * 10**59, d).compare(y) == -want, x
+            if a.denominator == b.denominator == 1:
+                assert exact.quad_sign(a.numerator, b.numerator, d) == want, (a, b, d)
 
 
 def test_pow_and_inverse():
