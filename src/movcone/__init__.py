@@ -14,8 +14,8 @@ _EXPORTS = {
         "intersection_data", "multiply",
     ),
     "cones": (
-        "C2Form", "Cone2", "CYModel", "DivisorClass", "InvalidModel", "LatticeMap", "NotMovable",
-        "SigmaData", "TriForm", "area_coordinate", "cone_contains", "eigen_coords", "eigen_sigma",
+        "C2Form", "CYModel", "DivisorClass", "InvalidModel", "LatticeMap", "NotMovable",
+        "SigmaData", "TriForm", "area_coordinate", "eigen_coords", "eigen_sigma",
         "fundamental_domain", "in_open_movable", "reduce_to_domain", "slope_coordinate",
         "validate_model",
     ),

@@ -201,22 +201,6 @@ class LatticeMap(_Value):
         return result
 
 
-class Cone2(_Value):
-    """Closed 2-dimensional cone spanned by two non-proportional rays."""
-
-    __slots__ = ("ray1", "ray2")
-
-    def __init__(self, ray1: DivisorClass, ray2: DivisorClass):
-        if not det2(ray1, ray2):
-            raise ValueError("cone rays must be non-proportional")
-        super().__init__(ray1, ray2)
-
-
-def cone_contains(cone: Cone2, D: DivisorClass) -> bool:
-    """Exact membership in the closed cone (boundary counts as inside)."""
-    return min(coord_signs(cone.ray1, cone.ray2, D)) >= 0
-
-
 class NotMovable(ValueError):
     """An integral class outside the open movable cone, which reduce_to_domain refuses."""
 
@@ -267,9 +251,6 @@ class CYModel(_Value):
     @property
     def has_involutions(self) -> bool:
         return self.tau1 is not None
-
-    def nef_cone(self) -> Cone2:
-        return Cone2(self.nef1, self.nef2)
 
     def chi(self, p: int, q: int) -> Fraction:
         """Riemann-Roch chi(p*H1 + q*H2) = D^3/6 + c2.D/12, exactly."""
@@ -427,9 +408,9 @@ def in_open_movable(D: DivisorClass, s: SigmaData) -> bool:
     return coord_signs(s.ray1, s.ray2, D) == (1, 1)
 
 
-def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
-    """Rational polyhedral fundamental domain containing the nef cone, with
-    its rays in increasing slope a1/a2 and primitive.
+def fundamental_domain(model: CYModel, x: DivisorClass) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Rational polyhedral fundamental domain containing the nef cone, as its
+    two rays (lo, top): primitive integer pairs in increasing slope a1/a2.
 
     With involutions it is the nef cone (H1, H2): tau2 maps it onto its
     mirror across H2, and sigma H1 = tau2 tau1 H1 = tau2 H1, so the two span
@@ -446,11 +427,11 @@ def fundamental_domain(model: CYModel, x: DivisorClass) -> Cone2:
         raise ValueError("x must be an integral class interior to the nef cone (ample)")
     sig = model.sigma
     if model.has_involutions:
-        return model.nef_cone()
+        return (1, 0), (0, 1)
     # o = sign det2(H1, sigma H1) = sign c, and o > 0 says H2 lies above H1
     if sig.c > 0:
-        return Cone2(model.nef1, sig.apply(model.nef1))
-    return Cone2(sig.inverse().apply(model.nef1), model.nef1)
+        return (1, 0), sig.apply_pair((1, 0))
+    return sig.inverse().apply_pair((1, 0)), (1, 0)
 
 
 class Dynamics(_Value):
@@ -466,7 +447,7 @@ def prepare(model: CYModel) -> Dynamics:
 
 
 def reduce_to_domain(
-    model: CYModel, s: SigmaData, pi: Cone2, D: DivisorClass
+    model: CYModel, s: SigmaData, pi: tuple[tuple[int, int], tuple[int, int]], D: DivisorClass
 ) -> tuple[list[str], DivisorClass]:
     """Pull an integral class of the open movable cone into the domain.
 
@@ -475,9 +456,9 @@ def reduce_to_domain(
     already in the closed domain take the empty word (first match in pi
     wins); classes in its tau2 mirror cross back with one involution.
     Otherwise D steps by sigma or sigma_inv, one letter a step, until its
-    slope lies in [lo, hi) for lo = pi.ray1 and hi = sigma lo, then crosses
-    tau2 at most once.  hi must be the window's top: pi.ray2, or tau2 pi.ray1
-    with the mirror.  Every test is an integer det2 sign.
+    slope lies in [lo, hi) for (lo, top) = pi and hi = sigma lo, then crosses
+    tau2 at most once.  hi must be the window's top: top, or tau2 lo with
+    the mirror.  Every test is an integer det2 sign.
     """
     if not D.is_integral:
         raise ValueError("only integral classes are reduced")
@@ -487,7 +468,7 @@ def reduce_to_domain(
     sig = model.sigma
     v, sv = D.integer_coords(), sig.apply_pair(D.integer_coords())
     o = _sign(det2(v, sv))  # o * det2(u, w) > 0 says slope(u) < slope(w)
-    lo, top = pi.ray1.integer_coords(), pi.ray2.integer_coords()
+    lo, top = pi
     pieces = [(lo, top)]
     if model.has_involutions:
         pieces.append((model.tau2.apply_pair(lo), model.tau2.apply_pair(top)))

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 from .cones import (
-    Cone2,
     CYModel,
     DivisorClass,
     NotMovable,
@@ -81,7 +80,7 @@ def _resolve_direction(s: SigmaData, ray) -> DivisorClass:
 def sweep(
     model: CYModel,
     s: SigmaData,
-    pi: Cone2,
+    pi: tuple[tuple[int, int], tuple[int, int]],
     ample: DivisorClass,
     ms,
     ray="r1",

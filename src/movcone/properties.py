@@ -83,7 +83,7 @@ def wall_crossing_sandwich(dyn: Dynamics, rng: Random, count: int) -> str | None
     """tau2 moves the area of a rational class of the domain by less than a
     factor lambda either way; needs the involutions.  Homogeneous, so decided on
     the integer pair m1*m2*v for v = (n1/m1)*ray1 + (n2/m2)*ray2."""
-    s, tau2, (p1, q1), (p2, q2) = dyn.sigma, dyn.model.tau2, dyn.pi.ray1.integer_coords(), dyn.pi.ray2.integer_coords()
+    s, tau2, ((p1, q1), (p2, q2)) = dyn.sigma, dyn.model.tau2, dyn.pi
     lam = _lam_ints(s.eigenvalue)
     for _ in range(count):
         n1, m1 = rng.randint(1, 99), rng.randint(1, 9)

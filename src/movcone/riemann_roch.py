@@ -4,14 +4,7 @@ fundamental domain."""
 
 from __future__ import annotations
 
-from .cones import (
-    Cone2,
-    CYModel,
-    DivisorClass,
-    SigmaData,
-    cone_contains,
-    reduce_to_domain,
-)
+from .cones import CYModel, DivisorClass, SigmaData, coord_signs, reduce_to_domain
 
 
 class ChamberCoveringError(ValueError):
@@ -24,13 +17,13 @@ def chi_nef(model: CYModel, D: DivisorClass) -> int:
     a + b <= 2, and hence on all classes."""
     if not D.is_integral:
         raise ValueError(f"chi requires an integral class, got {D}")
-    if not cone_contains(model.nef_cone(), D):
+    if min(coord_signs(model.nef1, model.nef2, D)) < 0:
         raise ChamberCoveringError(f"chamber covering not implemented: {D} is not nef")
     return int(model.chi(*D.integer_coords()))
 
 
 def h0_movable(
-    model: CYModel, s: SigmaData, pi: Cone2, D: DivisorClass
+    model: CYModel, s: SigmaData, pi: tuple[tuple[int, int], tuple[int, int]], D: DivisorClass
 ) -> tuple[int, list[str]]:
     """Sections of an integral class in the open movable cone; NotMovable outside it.
 

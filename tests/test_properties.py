@@ -113,7 +113,7 @@ def test_sandwich_suite_matches_quadnum_compare(name, request):
     # draws are the suite's, classes on both domain rays and the zero class
     dyn = request.getfixturevalue(name)
     s, lam, model = dyn.sigma, dyn.sigma.eigenvalue, dyn.model
-    (p1, q1), (p2, q2) = dyn.pi.ray1.integer_coords(), dyn.pi.ray2.integer_coords()
+    (p1, q1), (p2, q2) = dyn.pi
     rng = random.Random(79)
     draws = [[rng.randint(1, 99), rng.randint(1, 9), rng.randint(1, 99), rng.randint(1, 9)] for _ in range(200)]
     draws += [[c, 1, 0, 1] for c in range(1, 20)] + [[0, 1, c, 1] for c in range(1, 20)] + [[0, 1, 0, 1]]

@@ -34,6 +34,24 @@ def test_chi_rejects_non_nef(ex41):
         chi_nef(ex41.model, D(-1, 8))
 
 
+@pytest.mark.parametrize("name", ["ex41", "oguiso", "synthetic"])
+def test_chi_nef_refuses_exactly_the_classes_with_a_negative_coordinate(name, request):
+    # the nef cone is spanned by H1 and H2, so on an integer class the signs
+    # chi_nef decides by must agree with min(p, q) < 0
+    model = request.getfixturevalue(name).model
+    refused = 0
+    for p in range(-30, 31):
+        for q in range(-30, 31):
+            try:
+                chi = chi_nef(model, D(p, q))
+            except ChamberCoveringError:
+                assert min(p, q) < 0, (p, q)
+                refused += 1
+            else:
+                assert min(p, q) >= 0 and chi == model.chi(p, q), (p, q)
+    assert refused == 61 * 61 - 31 * 31
+
+
 def test_chi_rejects_non_integral(ex41):
     from movcone import QuadNum
 
